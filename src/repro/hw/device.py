@@ -17,13 +17,14 @@ shared store's hit/miss counters so tests can assert the sharing, and
 measure genuinely cold simulation).
 
 :meth:`GpuDevice.run_batch` is the vectorized entry point: it times a
-whole :class:`~repro.hw.timing.WorkBatch` column in one call, memoised
-by batch identity in the same shared per-config store.
+whole :class:`~repro.hw.timing.WorkBatch` column in one call.  Batches
+are not memoised here: callers time each plan once and keep the result
+(the iteration executor memoises per shape), and the batches they hand
+over are mostly fresh concatenations that could never hit again.
 
 Stores live for the process (one per distinct config value, like the
-plan cache they sit under); batch entries are bounded with oldest-first
-eviction, and :func:`clear_measure_caches` drops everything for
-long-running processes that sweep many one-off configurations.
+plan cache they sit under); :func:`clear_measure_caches` empties them
+for long-running processes that sweep many one-off configurations.
 """
 
 from __future__ import annotations
@@ -83,13 +84,6 @@ class BatchMeasurement:
         )
 
 
-#: Batch measurements retained per config before oldest-first eviction.
-#: Far above any real plan population (a model has O(100) unique shapes
-#: per config); the bound only guards callers that mint throwaway
-#: ``WorkBatch`` objects, which would otherwise pin arrays forever.
-_MAX_BATCHES_PER_CONFIG = 8192
-
-
 class _ConfigMeasurements:
     """The shared measurement store for one hardware configuration."""
 
@@ -97,31 +91,6 @@ class _ConfigMeasurements:
         self.measure = lru_cache(maxsize=65536)(
             lambda work: KernelMeasurement(*time_work(work, config))
         )
-        # Batches are frozen and deduplicated upstream (the plan cache
-        # hands out one object per unique plan), so identity keying is
-        # both correct and cheap.
-        self._config = config
-        self._batches: dict[WorkBatch, BatchMeasurement] = {}
-        self._batch_lock = Lock()
-
-    def measure_batch(self, work: WorkBatch) -> BatchMeasurement:
-        found = self._batches.get(work)  # lock-free fast path
-        if found is None:
-            # Compute outside the lock (pure and deterministic; a
-            # racing thread at worst duplicates work), then evict and
-            # insert under it so concurrent misses cannot trip over
-            # each other's dict mutations.
-            computed = BatchMeasurement(*time_work_batch(work, self._config))
-            with self._batch_lock:
-                if (
-                    len(self._batches) >= _MAX_BATCHES_PER_CONFIG
-                    and work not in self._batches
-                ):
-                    # Insertion-ordered dict: drop the oldest entry.
-                    # Worst case an evicted batch is re-measured.
-                    self._batches.pop(next(iter(self._batches)), None)
-                found = self._batches.setdefault(work, computed)
-        return found
 
     def flush(self) -> None:
         """Drop all measurements (counters included) in place.
@@ -130,12 +99,6 @@ class _ConfigMeasurements:
         clearing must empty the shared store rather than replace it.
         """
         self.measure.cache_clear()
-        with self._batch_lock:
-            self._batches.clear()
-
-    @property
-    def batch_entries(self) -> int:
-        return len(self._batches)
 
 
 _STORES: dict[HardwareConfig, _ConfigMeasurements] = {}
@@ -191,7 +154,7 @@ class GpuDevice:
 
     def run_batch(self, work: WorkBatch) -> BatchMeasurement:
         """Execute a whole column of kernels in one vectorized call."""
-        return self._store.measure_batch(work)
+        return BatchMeasurement(*time_work_batch(work, self._config))
 
     def __repr__(self) -> str:
         return f"GpuDevice({self._config.describe()})"

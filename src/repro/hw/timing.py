@@ -84,8 +84,8 @@ class WorkBatch:
     The columnar form the vectorized timing engine consumes: four
     compute columns (:class:`~repro.hw.compute.ComputeProfile`) and six
     traffic columns (:class:`~repro.hw.cache.TrafficProfile`).  Batches
-    compare by identity (``eq=False``) so they can key memo dicts; the
-    rows themselves are assumed frozen after construction.
+    compare by identity (``eq=False``); the rows themselves are assumed
+    frozen after construction.
     """
 
     flops: np.ndarray
@@ -148,8 +148,8 @@ class WorkBatch:
 
         The timing engine is purely row-wise, so timing the
         concatenation yields per-row results identical to timing each
-        batch separately — the basis of the serving fast path's single
-        ``run_batch`` call over all unique shapes.
+        batch separately — the basis of the executor timing many plans
+        per ``run_batch`` call.
         """
         return cls(
             **{

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from threading import Lock
 
 import numpy as np
 
@@ -25,7 +26,12 @@ from repro.errors import KernelSelectionError
 from repro.hw.cache import capacity_factor
 from repro.hw.compute import _LATENCY_HIDING_WAVES
 from repro.hw.config import HardwareConfig
-from repro.hw.timing import _INFLIGHT_BYTES_PER_WAVE, time_work
+from repro.hw.timing import (
+    _INFLIGHT_BYTES_PER_WAVE,
+    WorkBatch,
+    time_work,
+    time_work_batch,
+)
 from repro.kernels.base import FLOAT_BYTES, KernelInvocation, make_invocation
 
 __all__ = [
@@ -33,8 +39,11 @@ __all__ = [
     "GEMM_VARIANTS",
     "gemm",
     "gemm_variants",
+    "gemm_work",
     "build_gemm",
     "candidate_times",
+    "candidate_times_many",
+    "race_exact",
     "clear_gemm_caches",
 ]
 
@@ -74,6 +83,16 @@ GEMM_VARIANTS: tuple[GemmVariant, ...] = (
     GemmVariant(tile_m=32, tile_n=32, depth_u=32, issue_efficiency=0.60),
     GemmVariant(tile_m=16, tile_n=64, depth_u=32, issue_efficiency=0.52),
     GemmVariant(tile_m=16, tile_n=16, depth_u=64, issue_efficiency=0.40),
+)
+
+#: Per-variant tile constants as columns, for :func:`gemm_work`.
+_TILE_M = np.array([v.tile_m for v in GEMM_VARIANTS], dtype=np.int64)
+_TILE_N = np.array([v.tile_n for v in GEMM_VARIANTS], dtype=np.int64)
+_DEPTH_U = np.array([v.depth_u for v in GEMM_VARIANTS], dtype=np.int64)
+_ISSUE_EFFICIENCY = np.array([v.issue_efficiency for v in GEMM_VARIANTS])
+#: Kernel names by ``2 * variant index + edge``.
+_NAMES = tuple(
+    variant.name + suffix for variant in GEMM_VARIANTS for suffix in ("", "_edge")
 )
 
 
@@ -133,6 +152,71 @@ def gemm_variants(m: int, n: int, k: int, group: str = "gemm") -> list[KernelInv
     return [build_gemm(variant, m, n, k, group) for variant in GEMM_VARIANTS]
 
 
+def race_exact(m: int, n: int, k: int) -> bool:
+    """Whether the columnar GEMM paths are bit-exact for this problem.
+
+    :func:`gemm_work` and :func:`candidate_times_many` hold
+    :func:`build_gemm`'s integer intermediates (read, write and unique
+    bytes, padded dims) in int64 and divide them as float64, which
+    matches Python's exact-integer arithmetic while every one of them
+    stays below 2**53.  This product bounds them all for every variant.
+    """
+    return 4 * (m + 128) * (n + 128) * (k + 1) < 2**53
+
+
+def _gemm_columns(variant: np.ndarray, m, n, k) -> tuple[dict, np.ndarray]:
+    """:func:`build_gemm`'s work fields as float64 columns.
+
+    ``variant`` indexes :data:`GEMM_VARIANTS`; it broadcasts against the
+    dims.  Returns the :class:`~repro.hw.timing.WorkBatch` columns and
+    the edge-tile flags.  Integer fields are computed exactly in int64
+    and converted once, and the float expressions keep
+    :func:`build_gemm`'s association order, so every value equals the
+    scalar field bit for bit (within :func:`race_exact`).
+    """
+    tile_m = _TILE_M[variant]
+    tile_n = _TILE_N[variant]
+    tiles_m = -(-m // tile_m)
+    tiles_n = -(-n // tile_n)
+    workgroups = tiles_m * tiles_n
+    read_bytes = workgroups * (tile_m + tile_n) * k * FLOAT_BYTES
+    unique_bytes = (m * k + k * n) * FLOAT_BYTES
+    shape = np.broadcast_shapes(np.shape(variant), np.shape(m))
+    columns = {
+        "flops": 2.0 * (tiles_m * tile_m) * (tiles_n * tile_n) * k,
+        "work_items": workgroups * 256,
+        "issue_efficiency": _ISSUE_EFFICIENCY[variant],
+        "workgroup_size": 256,
+        "read_bytes": read_bytes,
+        "write_bytes": m * n * FLOAT_BYTES,
+        "l1_reuse_fraction": _L1_REUSE_FRACTION,
+        "l1_working_set": (tile_m + tile_n) * _DEPTH_U[variant] * FLOAT_BYTES,
+        "l2_reuse_fraction": np.maximum(0.0, 1.0 - unique_bytes / read_bytes),
+        "l2_working_set": unique_bytes,
+    }
+    for name, column in columns.items():
+        columns[name] = np.broadcast_to(column, shape).astype(np.float64).ravel()
+    edge = (m % tile_m != 0) | (n % tile_n != 0)
+    return columns, edge
+
+
+def gemm_work(
+    variants: np.ndarray, dims: np.ndarray
+) -> tuple[WorkBatch, list[str]]:
+    """:func:`build_gemm` for many problems at once, as columns.
+
+    ``variants[i]`` indexes :data:`GEMM_VARIANTS` and ``dims[i]`` is
+    that problem's ``(m, n, k)``.  Returns the invocations' work as a
+    :class:`~repro.hw.timing.WorkBatch` and their kernel names, each
+    row equal to ``build_gemm(GEMM_VARIANTS[variants[i]], *dims[i])``.
+    """
+    variants = np.asarray(variants, dtype=np.int64)
+    dims = np.asarray(dims, dtype=np.int64).reshape(-1, 3)
+    columns, edge = _gemm_columns(variants, dims[:, 0], dims[:, 1], dims[:, 2])
+    names = [_NAMES[code] for code in (2 * variants + edge).tolist()]
+    return WorkBatch(**columns), names
+
+
 @lru_cache(maxsize=64)
 def _race_env(config: HardwareConfig):
     """Constant-folded per-variant/config terms of the candidate race.
@@ -173,7 +257,15 @@ def _race_env(config: HardwareConfig):
     return wave_slots, resident_cap, peak_flops, l1_bandwidth, l2_bandwidth, per_variant
 
 
-@lru_cache(maxsize=65536)
+#: The race memo, ``(m, n, k, config)`` -> read-only candidate times:
+#: what :func:`gemm`'s selection and the autotuner read through
+#: :func:`candidate_times`, and what :func:`candidate_times_many`
+#: seeds.  Bounded, dropping the oldest row first.
+_RACE_ROWS: dict[tuple, np.ndarray] = {}
+_RACE_LOCK = Lock()
+_MAX_RACE_ROWS = 65536
+
+
 def candidate_times(
     m: int, n: int, k: int, config: HardwareConfig
 ) -> np.ndarray:
@@ -184,16 +276,33 @@ def candidate_times(
     argmin) and the autotune phase (:class:`~repro.kernels.autotune.Autotuner`
     sums its pruned candidate subset).  Each entry is bit-identical to
     ``time_work(build_gemm(variant, m, n, k).work, config)[0]`` —
-    asserted in tests/test_kernels_gemm.py.
+    asserted in tests/test_plan_equivalence.py.  Memoised in the race
+    memo, which :func:`candidate_times_many` also seeds.
+    """
+    key = (m, n, k, config)
+    times = _RACE_ROWS.get(key)
+    if times is None:
+        times = _candidate_times_scalar(m, n, k, config)
+        with _RACE_LOCK:
+            if len(_RACE_ROWS) >= _MAX_RACE_ROWS and key not in _RACE_ROWS:
+                _RACE_ROWS.pop(next(iter(_RACE_ROWS)))
+            times = _RACE_ROWS.setdefault(key, times)
+    return times
 
-    Nine candidates sit below numpy's dispatch break-even, so the race
-    is a constant-folded scalar loop rather than a
-    :func:`~repro.hw.timing.time_work_batch` call: every
-    problem-independent term is precomputed per config by
-    :func:`_race_env`, and the remaining expressions replicate
-    :func:`build_gemm` + :func:`~repro.hw.timing.time_work` literally
-    (integer intermediates stay integers, same association order, and
-    only the runtime is computed — no breakdown or counters).
+
+def _candidate_times_scalar(
+    m: int, n: int, k: int, config: HardwareConfig
+) -> np.ndarray:
+    """One problem's race as a constant-folded scalar loop.
+
+    Nine candidates sit below numpy's dispatch break-even, so a single
+    problem is not raced through
+    :func:`~repro.hw.timing.time_work_batch`: every problem-independent
+    term is precomputed per config by :func:`_race_env`, and the
+    remaining expressions replicate :func:`build_gemm` +
+    :func:`~repro.hw.timing.time_work` literally (integer intermediates
+    stay integers, same association order, and only the runtime is
+    computed — no breakdown or counters).
     """
     if min(m, n, k) <= 0:
         raise KernelSelectionError(f"GEMM dims must be positive, got {(m, n, k)}")
@@ -287,6 +396,58 @@ def candidate_times(
     return times
 
 
+def candidate_times_many(dims, config: HardwareConfig) -> np.ndarray:
+    """:func:`candidate_times` for many problems: a ``(P, 9)`` array.
+
+    ``dims`` holds one ``(m, n, k)`` per row.  Problems already in the
+    race memo reuse their rows; the rest are raced together as one
+    columnar (problems x variants) evaluation — :func:`_gemm_columns`
+    builds every candidate's work and
+    :func:`~repro.hw.timing.time_work_batch` times it — and seeded into
+    the memo, so later :func:`candidate_times` calls hit.  Rows are
+    bit-identical to the scalar loop's (property-tested in
+    tests/test_properties_extra.py) for valid problems within
+    :func:`race_exact` — the ones :func:`~repro.models.plan.compile_plan`
+    records in a plan's skeleton.
+    """
+    dims = np.asarray(dims, dtype=np.int64).reshape(-1, 3)
+    if not len(dims):
+        return np.empty((0, len(GEMM_VARIANTS)))
+    # Dedupe by lexsort (several times faster than np.unique(axis=0)).
+    order = np.lexsort(dims.T[::-1])
+    ordered = dims[order]
+    first = np.ones(len(dims), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(dims), dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    unique = ordered[first]
+    keys = [(m, n, k, config) for m, n, k in unique.tolist()]
+    found = [_RACE_ROWS.get(key) for key in keys]
+    table = np.empty((len(keys), len(GEMM_VARIANTS)))
+    hits = [i for i, times in enumerate(found) if times is not None]
+    if hits:
+        table[hits] = [found[i] for i in hits]
+    if len(hits) < len(keys):
+        missing = [i for i, times in enumerate(found) if times is None]
+        problems = unique[missing]
+        columns, _ = _gemm_columns(
+            np.arange(len(GEMM_VARIANTS))[None, :],
+            problems[:, :1],
+            problems[:, 1:2],
+            problems[:, 2:],
+        )
+        times = time_work_batch(WorkBatch(**columns), config)[0]
+        times = times.reshape(len(missing), len(GEMM_VARIANTS))
+        times.setflags(write=False)
+        table[missing] = times
+        with _RACE_LOCK:
+            for i, row in zip(missing, times):
+                _RACE_ROWS.setdefault(keys[i], row)
+            while len(_RACE_ROWS) > _MAX_RACE_ROWS:
+                _RACE_ROWS.pop(next(iter(_RACE_ROWS)))
+    return table[inverse]
+
+
 def _select_reference(m: int, n: int, k: int, config: HardwareConfig) -> GemmVariant:
     """The pre-vectorized selection loop, kept as the bit-identity
     reference for :func:`_select` (tests assert they agree)."""
@@ -314,7 +475,8 @@ def _select(m: int, n: int, k: int, config: HardwareConfig) -> GemmVariant:
 def clear_gemm_caches() -> None:
     """Drop every memo in this module (for cold benchmarks)."""
     build_gemm.cache_clear()
-    candidate_times.cache_clear()
+    with _RACE_LOCK:
+        _RACE_ROWS.clear()
     _select.cache_clear()
     _race_env.cache_clear()
     gemm.cache_clear()

@@ -15,11 +15,13 @@ same information compiled once into parallel numpy columns:
   with integer id columns (``group_id``/``name_id``) mapping rows onto
   them;
 * the GEMM problem dims in original launch order (autotune accounting
-  follows launch order, not merged order).
+  follows launch order, not merged order);
+* the plan's config-free skeleton: which merged rows are GEMMs, and
+  their ``(m, n, k)``.
 
-Plans are frozen; the batched executor times one with a single
-:meth:`~repro.hw.device.GpuDevice.run_batch` call and reduces with the
-same left-to-right accumulation the scalar reference loop performs, so
+Plans are frozen; the batched executor times them with
+:meth:`~repro.hw.device.GpuDevice.run_batch` and reduces with the same
+left-to-right accumulation the scalar reference loop performs, so
 results are bit-identical (asserted in tests/test_plan_equivalence.py).
 
 :class:`PlanCache` is the process-wide store keyed by
@@ -28,6 +30,14 @@ config)``.  Lowering is deterministic in exactly those inputs (the
 paper's Key Observation 4 as a structural property), so every executor,
 simulator, and sweep worker in the process shares one compiled plan per
 unique shape instead of re-lowering it.
+
+The hardware config enters lowering only through each GEMM's
+macro-tile choice (:func:`~repro.kernels.gemm.gemm`): kernel list, merge
+pattern, counts, groups and GEMM dims are the same on every config.  So
+the cache keeps the first plan compiled for each (model, pass, shape)
+as that shape's skeleton, and :func:`resolve_plans` builds the shape's
+plan on any other config from it — re-racing only the GEMM rows —
+equal in every field to lowering and compiling it there.
 """
 
 from __future__ import annotations
@@ -35,7 +45,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from threading import Lock
@@ -43,7 +53,9 @@ from typing import Any
 
 import numpy as np
 
+from repro.hw.config import HardwareConfig
 from repro.hw.timing import WorkBatch
+from repro.kernels.gemm import candidate_times_many, gemm_work, race_exact
 from repro.models.schedule import KernelSchedule
 from repro.util.filelock import file_lock
 from repro.util.npt import ColumnStore, write_columns
@@ -51,6 +63,7 @@ from repro.util.npt import ColumnStore, write_columns
 __all__ = [
     "SchedulePlan",
     "compile_plan",
+    "resolve_plans",
     "PlanCache",
     "PlanStore",
     "PLAN_CACHE",
@@ -79,8 +92,7 @@ class SchedulePlan:
     """Frozen columnar form of one lowered pass.
 
     Compares by identity (``eq=False``): the :data:`PLAN_CACHE` hands
-    out one object per unique plan, which also lets the device memoise
-    batch measurements by plan identity.
+    out one object per unique plan.
     """
 
     work: WorkBatch
@@ -94,6 +106,12 @@ class SchedulePlan:
     names: tuple[str, ...]
     #: GEMM problem dims in launch order (unmerged), for autotune cost.
     gemm_shapes: tuple[tuple[int, int, int], ...]
+    #: The config-free skeleton: one ``(row, m, n, k)`` line per merged
+    #: GEMM row (int64, ``(G, 4)``), shared by the shape's plans on
+    #: every config.  ``None`` when the plan cannot be resolved onto
+    #: other configs (loaded from a :class:`PlanStore`, or a GEMM
+    #: outside :func:`~repro.kernels.gemm.race_exact`).
+    gemm_rows: np.ndarray | None = None
 
     def __len__(self) -> int:
         return int(self.counts.size)
@@ -173,11 +191,15 @@ def compile_plan(schedule: KernelSchedule) -> SchedulePlan:
     name_table: dict[str, int] = {}
     group_id = np.empty(len(rows), dtype=np.int64)
     name_id = np.empty(len(rows), dtype=np.int64)
+    gemm_rows = []
     for row, invocation in enumerate(rows):
         group_id[row] = group_table.setdefault(
             invocation.group, len(group_table)
         )
         name_id[row] = name_table.setdefault(invocation.name, len(name_table))
+        if invocation.op == "gemm":
+            gemm_rows.append((row, *invocation.shape))
+    resolvable = all(race_exact(m, n, k) for _, m, n, k in gemm_rows)
 
     return SchedulePlan(
         work=WorkBatch.from_profiles([inv.work for inv in rows]),
@@ -187,7 +209,75 @@ def compile_plan(schedule: KernelSchedule) -> SchedulePlan:
         groups=tuple(group_table),
         names=tuple(name_table),
         gemm_shapes=gemm_shapes,
+        gemm_rows=(
+            np.array(gemm_rows, dtype=np.int64).reshape(-1, 4)
+            if resolvable
+            else None
+        ),
     )
+
+
+def resolve_plans(
+    plans: Sequence[SchedulePlan], config: HardwareConfig
+) -> list[SchedulePlan]:
+    """Each plan's shape compiled on ``config``, from its skeleton.
+
+    Only the GEMM rows depend on the config.  All the plans' GEMM
+    problems are raced together
+    (:func:`~repro.kernels.gemm.candidate_times_many`, through the race
+    memo), their work columns and kernel names rebuilt as arrays
+    (:func:`~repro.kernels.gemm.gemm_work`) and spliced into copies of
+    the plans' columns, and each name table re-interned in row order;
+    every other field is shared with the skeleton.  Each result equals
+    ``compile_plan(model.lower_*(inputs, config))`` in every field
+    (tests/test_plan_equivalence.py).
+    """
+    if not plans:
+        return []
+    skeletons = np.concatenate([plan.gemm_rows for plan in plans])
+    dims = skeletons[:, 1:]
+    variants = np.argmin(candidate_times_many(dims, config), axis=1)
+    gemm_batch, gemm_names = gemm_work(variants, dims)
+    starts = np.cumsum([0] + [len(plan) for plan in plans]).tolist()
+    rows = skeletons[:, 0] + np.repeat(
+        starts[:-1], [len(plan.gemm_rows) for plan in plans]
+    )
+    columns = {}
+    for name in _WORK_COLUMNS:
+        column = np.concatenate([getattr(plan.work, name) for plan in plans])
+        column[rows] = getattr(gemm_batch, name)
+        columns[name] = column
+    resolved = []
+    gemm_offset = 0
+    for plan, lo, hi in zip(plans, starts, starts[1:]):
+        row_names = list(map(plan.names.__getitem__, plan.name_id.tolist()))
+        gemm_end = gemm_offset + len(plan.gemm_rows)
+        for row, name in zip(
+            plan.gemm_rows[:, 0].tolist(), gemm_names[gemm_offset:gemm_end]
+        ):
+            row_names[row] = name
+        gemm_offset = gemm_end
+        # Interned in first-appearance order, as compile_plan does.
+        names = tuple(dict.fromkeys(row_names))
+        name_table = dict(zip(names, range(len(names))))
+        name_id = np.fromiter(
+            map(name_table.__getitem__, row_names), np.int64, len(row_names)
+        )
+        resolved.append(
+            SchedulePlan(
+                work=WorkBatch(
+                    **{name: column[lo:hi] for name, column in columns.items()}
+                ),
+                counts=plan.counts,
+                group_id=plan.group_id,
+                name_id=name_id,
+                groups=plan.groups,
+                names=names,
+                gemm_shapes=plan.gemm_shapes,
+                gemm_rows=plan.gemm_rows,
+            )
+        )
+    return resolved
 
 
 def _plan_columns(
@@ -302,9 +392,14 @@ class PlanCache:
     """Process-wide store of compiled plans, with hit/miss counters.
 
     Thread-safe; compilation happens under the lock so every caller of
-    one key observes the *same* plan object (identity matters — the
-    device's batch-measurement memo keys on it).  Compiles are pure and
+    one key observes the *same* plan object.  Compiles are pure and
     GIL-bound, so holding the lock costs no parallelism.
+
+    Keys end with the hardware config; the rest of a key names one
+    (model, pass, shape).  Next to the first resolvable plan stored for
+    each (model, pass, shape), the cache keeps that plan as the shape's
+    skeleton (:meth:`skeleton`), from which :func:`resolve_plans` builds
+    the shape's plan on other configs.
 
     A :class:`PlanStore` may be attached, in which case memory misses
     whose caller supplies a structural fingerprint fall through to the
@@ -314,10 +409,16 @@ class PlanCache:
 
     def __init__(self) -> None:
         self._plans: dict[tuple, SchedulePlan] = {}
+        self._skeletons: dict[tuple, SchedulePlan] = {}
         self._lock = Lock()
         self._hits = 0
         self._misses = 0
         self._store: PlanStore | None = None
+
+    @property
+    def store(self) -> PlanStore | None:
+        """The attached on-disk tier, if any."""
+        return self._store
 
     def attach_store(self, store: PlanStore | None) -> PlanStore | None:
         """Attach (or detach with ``None``) the on-disk tier.
@@ -356,7 +457,27 @@ class PlanCache:
             else:
                 plan = build()
             self._plans[key] = plan
+            if plan.gemm_rows is not None:
+                self._skeletons.setdefault(key[:-1], plan)
             return plan
+
+    def get(self, key: tuple) -> SchedulePlan | None:
+        """The plan under ``key`` (counted as a hit), or ``None``.
+
+        A ``None`` counts nothing: the caller's
+        :meth:`get_or_compile` for the key counts the miss.
+        """
+        with self._lock:
+            plan = self._plans.get(key)
+            if plan is not None:
+                self._hits += 1
+            return plan
+
+    def skeleton(self, key: tuple) -> SchedulePlan | None:
+        """A plan of ``key``'s (model, pass, shape) on any config, from
+        which :func:`resolve_plans` can build it on ``key``'s config."""
+        with self._lock:
+            return self._skeletons.get(key[:-1])
 
     def stats(self) -> dict[str, int]:
         with self._lock:
@@ -370,6 +491,7 @@ class PlanCache:
         """Drop all plans and counters (for cold benchmarking)."""
         with self._lock:
             self._plans.clear()
+            self._skeletons.clear()
             self._hits = 0
             self._misses = 0
 

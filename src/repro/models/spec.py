@@ -7,6 +7,12 @@ iteration (forward, backward, optimizer) or for a forward-only
 evaluation pass.  Lowering depends *only* on the inputs and hardware
 config — the paper's Key Observation 4 (all iterations at a given SL
 behave the same) is a structural property here.
+
+The hardware config may enter lowering only through each GEMM's
+variant choice in :func:`~repro.kernels.gemm.gemm`, as in every builtin
+layer: the plan cache lowers each (model, pass, shape) on the first
+config it meets and builds the other configs' plans from that one
+(:func:`~repro.models.plan.resolve_plans`).
 """
 
 from __future__ import annotations

@@ -61,7 +61,12 @@ from repro.serve.queue import JobQueue
 from repro.serve.sessions import SessionManager
 from repro.serve.workers import WorkerPool
 
-__all__ = ["ReproServer", "ServeApp"]
+__all__ = ["ReproServer", "ServeApp", "MAX_BODY_BYTES"]
+
+#: Largest request body the daemon reads.  Job specs are a few KiB and a
+#: feed chunk of 100k records is under 10 MiB; anything larger is
+#: refused before it is buffered.
+MAX_BODY_BYTES = 32 * 1024 * 1024
 
 
 class ServeApp:
@@ -247,6 +252,10 @@ class _Handler(BaseHTTPRequestHandler):
     app: ServeApp  # injected via the subclass ReproServer builds
     server_version = "repro-serve"
     protocol_version = "HTTP/1.1"
+    # _respond writes headers and body separately; with Nagle's
+    # algorithm on, a keep-alive client's delayed ACK holds the body
+    # back about 40 ms.
+    disable_nagle_algorithm = True
 
     # The default handler logs every request to stderr; a daemon
     # serving a benchmark would drown in it.
@@ -254,7 +263,19 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
     def _read_body(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        # Digits only: int() would also take signs, spaces and "1_000".
+        length = int(header) if header.isascii() and header.isdigit() else -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # The body is left unread, so the connection cannot carry
+            # another request.
+            self.close_connection = True
+            if length < 0:
+                raise ProtocolError(f"invalid Content-Length: {header!r}")
+            raise ProtocolError(
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit"
+            )
         if length == 0:
             return None
         raw = self.rfile.read(length)
@@ -271,6 +292,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(data)
 

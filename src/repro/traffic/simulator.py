@@ -3,8 +3,9 @@
 Each :class:`~repro.traffic.batcher.FormedBatch` is timed with one
 forward pass through the PR 4 batched lowering→timing pipeline
 (:class:`~repro.train.iteration.IterationExecutor`, i.e. the
-process-wide ``PlanCache`` plus one vectorized
-:meth:`~repro.hw.device.GpuDevice.run_batch` call per unique shape),
+process-wide ``PlanCache`` plus vectorized
+:meth:`~repro.hw.device.GpuDevice.run_batch` timing of every unique
+shape),
 then queued on a single-device FIFO: a batch starts at
 ``max(form_time, device_free)`` and occupies the device for its
 measured forward latency.  The result is
@@ -20,9 +21,10 @@ measured forward latency.  The result is
 Two serve paths exist, mirroring the executor's batched/scalar split:
 the default **memoized** path groups batches by unique
 ``(len(batch), seq_len, tgt_len)`` shape, times each unique shape
-exactly once (one :meth:`~repro.hw.device.GpuDevice.run_batch` over all
-unique shapes), scatters times and profile ids back by group index, and
-replays the device FIFO as a vectorized prefix recurrence; the
+exactly once (all of them through one
+:meth:`~repro.train.iteration.IterationExecutor.run_unique` call),
+scatters times and profile ids back by group index, and replays the
+device FIFO as a vectorized prefix recurrence; the
 **scalar** reference path (``memoized=False``) walks batch by batch,
 exactly as before.  Both produce bit-identical :class:`ServedTraffic`
 values — asserted every bench trial and property-tested across
@@ -301,7 +303,8 @@ class TrafficSimulator:
         SeqPoint's Key Observation 4 applied to serving — formed
         batches collapse onto few unique ``(batch, seq_len, tgt_len)``
         shapes, so each shape is timed exactly once (all missing shapes
-        through one :meth:`~repro.hw.device.GpuDevice.run_batch`) and
+        through one
+        :meth:`~repro.train.iteration.IterationExecutor.run_unique`) and
         per-batch columns are gathered back by group index.  Unique
         shapes are processed in first-appearance order, so the profile
         pool is populated in the same order the scalar walk would
@@ -367,7 +370,7 @@ class TrafficSimulator:
                     tgt_len=None if key[2] == NO_TGT else key[2],
                 )
             inputs_seq.append(inputs)
-        results = self.executor.run_forward_unique(inputs_seq)
+        results = self.executor.run_unique(inputs_seq, "forward")
         unique_times = np.fromiter(
             (result.time_s for result in results), np.float64, len(results)
         )

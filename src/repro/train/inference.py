@@ -127,7 +127,7 @@ class InferenceRunSimulator:
         count = int(seq_len.size)
         time_s, profile_id, profiles = memoized_shape_walk(
             seq_len, tgt_len, self.batching.batch_size,
-            self.executor.run_forward,
+            lambda shapes: self.executor.run_unique(shapes, "forward"),
         )
         if self.noise_sigma:
             time_s = time_s * np.fromiter(

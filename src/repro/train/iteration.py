@@ -8,11 +8,14 @@ as ground truth.
 
 Two measurement paths exist:
 
-* the default **batched** path compiles each schedule into a columnar
-  :class:`~repro.models.plan.SchedulePlan` (through the process-wide
-  :data:`~repro.models.plan.PLAN_CACHE`, so equal shapes are lowered
-  once per process, not once per executor) and times it with a single
-  vectorized :meth:`~repro.hw.device.GpuDevice.run_batch` call;
+* the default **batched** path gets each shape's columnar
+  :class:`~repro.models.plan.SchedulePlan` through the process-wide
+  :data:`~repro.models.plan.PLAN_CACHE` (so equal shapes are lowered
+  once per process, not once per executor, and a shape already lowered
+  on another hardware config is resolved from its skeleton instead of
+  lowered again) and times many shapes' plans with a few vectorized
+  :meth:`~repro.hw.device.GpuDevice.run_batch` calls
+  (:meth:`IterationExecutor.run_unique`);
 * the **scalar** reference path (``batched=False``) walks the merged
   schedule invocation by invocation, exactly as before the columnar
   refactor.
@@ -34,7 +37,12 @@ import numpy as np
 from repro.hw.counters import CounterColumns, CounterSet
 from repro.hw.device import GpuDevice
 from repro.hw.timing import WorkBatch
-from repro.models.plan import PLAN_CACHE, SchedulePlan, compile_plan
+from repro.models.plan import (
+    PLAN_CACHE,
+    SchedulePlan,
+    compile_plan,
+    resolve_plans,
+)
 from repro.models.schedule import KernelSchedule
 from repro.models.spec import IterationInputs, Model
 from repro.util.stats import sequential_sum
@@ -47,6 +55,12 @@ __all__ = ["IterationExecutor", "IterationResult"]
 #: the reason per-SL sensitivity curves (paper Figs 13/14) rise with SL.
 #: 25 ms matches TF1.x-era step overheads on these networks.
 DEFAULT_HOST_OVERHEAD_S = 25e-3
+
+#: Kernel rows per device call when many plans are timed together: a
+#: paper-scale epoch has ~11k rows, and one call over all of them
+#: allocates its temporaries at full size, while a few calls per epoch
+#: already amortise the per-call overhead.
+_MAX_BATCH_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -80,11 +94,21 @@ class IterationExecutor:
         self.device = device
         self.host_overhead_s = host_overhead_s
         self.batched = batched
-        self._train_cache: dict[tuple[int, int, int | None], IterationResult] = {}
-        self._fwd_cache: dict[tuple[int, int, int | None], IterationResult] = {}
+        #: Pass kind ("train" or "forward") -> shape -> result.
+        self._results: dict[
+            str, dict[tuple[int, int, int | None], IterationResult]
+        ] = {"train": {}, "forward": {}}
 
     def _key(self, inputs: IterationInputs) -> tuple[int, int, int | None]:
         return (inputs.batch, inputs.seq_len, inputs.tgt_len)
+
+    def _lower(self, inputs: IterationInputs, kind: str) -> KernelSchedule:
+        lower = (
+            self.model.lower_iteration
+            if kind == "train"
+            else self.model.lower_forward
+        )
+        return lower(inputs, self.device.config)
 
     def _measure(self, schedule: KernelSchedule) -> IterationResult:
         """Scalar reference: per-invocation measurement and accumulation."""
@@ -137,120 +161,145 @@ class IterationExecutor:
             gemm_shapes=plan.gemm_shapes,
         )
 
-    def _measure_plan(self, plan: SchedulePlan) -> IterationResult:
-        """Batched path: one device call, columnar reductions."""
-        measurement = self.device.run_batch(plan.work)
-        return self._reduce_plan(plan, measurement.time_s, measurement.counters)
+    def _fingerprint(self, inputs: IterationInputs, kind: str) -> dict | None:
+        """The cross-process plan-store key of one plan, or ``None``.
 
-    def _plan_for(self, inputs: IterationInputs, kind: str) -> SchedulePlan:
-        """This shape's compiled plan, through the process-wide cache.
-
-        Models exposing a structural :meth:`plan_fingerprint` also
-        qualify for the cross-process plan store (when one is attached
-        to the cache): the fingerprint extends the model identity with
+        Models exposing a structural :meth:`plan_fingerprint` qualify
+        for the store: the fingerprint extends the model identity with
         everything else lowering depends on — pass kind, padded shape,
         and the hardware configuration.
         """
-        config = self.device.config
-        key = (
-            self.model.plan_key(),
-            kind,
-            inputs.batch,
-            inputs.seq_len,
-            inputs.tgt_len,
-            config,
-        )
         model_fingerprint = self.model.plan_fingerprint()
-        fingerprint = None
-        if model_fingerprint is not None:
-            fingerprint = {
-                "model": model_fingerprint,
-                "kind": kind,
-                "batch": inputs.batch,
-                "seq_len": inputs.seq_len,
-                "tgt_len": inputs.tgt_len,
-                "config": dataclasses.asdict(config),
-            }
-        lower = (
-            self.model.lower_iteration
-            if kind == "train"
-            else self.model.lower_forward
+        if model_fingerprint is None:
+            return None
+        return {
+            "model": model_fingerprint,
+            "kind": kind,
+            "batch": inputs.batch,
+            "seq_len": inputs.seq_len,
+            "tgt_len": inputs.tgt_len,
+            "config": dataclasses.asdict(self.device.config),
+        }
+
+    def _plans_for(
+        self, inputs_seq: Sequence[IterationInputs], kind: str
+    ) -> list[SchedulePlan]:
+        """These shapes' compiled plans, through the process-wide cache.
+
+        Hits cost one lookup each.  The misses whose shape has a
+        skeleton (its plan on another config) are resolved from it
+        together, racing all their GEMM problems as one array
+        (:func:`~repro.models.plan.resolve_plans`); any other miss lowers
+        and compiles.  The plan-store fingerprint is built only for a
+        miss while a store is attached.
+        """
+        config = self.device.config
+        model_key = self.model.plan_key()
+        keys = [
+            (model_key, kind, i.batch, i.seq_len, i.tgt_len, config)
+            for i in inputs_seq
+        ]
+        plans = [PLAN_CACHE.get(key) for key in keys]
+        misses = [index for index, plan in enumerate(plans) if plan is None]
+        skeletons = {}
+        for index in misses:
+            skeleton = PLAN_CACHE.skeleton(keys[index])
+            if skeleton is not None:
+                skeletons[index] = skeleton
+        resolved = dict(
+            zip(skeletons, resolve_plans(list(skeletons.values()), config))
         )
-        return PLAN_CACHE.get_or_compile(
-            key,
-            lambda: compile_plan(lower(inputs, config)),
-            fingerprint=fingerprint,
-        )
+        for index in misses:
+            inputs = inputs_seq[index]
+            if index in resolved:
+                build = lambda plan=resolved[index]: plan
+            else:
+                build = lambda inputs=inputs: compile_plan(self._lower(inputs, kind))
+            fingerprint = None
+            if PLAN_CACHE.store is not None:
+                fingerprint = self._fingerprint(inputs, kind)
+            plans[index] = PLAN_CACHE.get_or_compile(
+                keys[index], build, fingerprint=fingerprint
+            )
+        return plans
+
+    def _time_plans(self, plans: Sequence[SchedulePlan]) -> list[IterationResult]:
+        """Time plans with few device calls, one result per plan.
+
+        Consecutive plans are stacked with
+        :meth:`~repro.hw.timing.WorkBatch.concat` up to
+        :data:`_MAX_BATCH_ROWS` rows per
+        :meth:`~repro.hw.device.GpuDevice.run_batch` call (a larger plan
+        gets a call of its own).  The timing engine is purely row-wise
+        and each reduction folds exactly its plan's rows, so every
+        result is bit-identical to timing its plan alone.
+        """
+        chunks: list[list[SchedulePlan]] = []
+        rows = 0
+        for plan in plans:
+            if not chunks or rows + len(plan) > _MAX_BATCH_ROWS:
+                chunks.append([])
+                rows = 0
+            chunks[-1].append(plan)
+            rows += len(plan)
+        results = []
+        for chunk in chunks:
+            work = (
+                chunk[0].work
+                if len(chunk) == 1
+                else WorkBatch.concat([plan.work for plan in chunk])
+            )
+            measurement = self.device.run_batch(work)
+            offset = 0
+            for plan in chunk:
+                upper = offset + len(plan)
+                results.append(
+                    self._reduce_plan(
+                        plan,
+                        measurement.time_s[offset:upper],
+                        measurement.counters.rows(offset, upper),
+                    )
+                )
+                offset = upper
+        return results
+
+    def run_unique(
+        self, inputs_seq: Sequence[IterationInputs], kind: str = "train"
+    ) -> list[IterationResult]:
+        """Results of many shapes of one pass kind, in input order.
+
+        ``kind`` is ``"train"`` (:meth:`run`) or ``"forward"``
+        (:meth:`run_forward`).  The entry point for whole epochs,
+        evaluation passes and serving: every shape missing from this
+        executor's memo (first appearance order) gets its plan from
+        :meth:`_plans_for` and is timed by :meth:`_time_plans`.  Repeats
+        map back to their shape's one result.  The scalar reference
+        path (``batched=False``) lowers and measures shape by shape.
+        """
+        results = self._results[kind]
+        missing: dict[tuple[int, int, int | None], IterationInputs] = {}
+        for inputs in inputs_seq:
+            key = self._key(inputs)
+            if key not in results:
+                missing.setdefault(key, inputs)
+        if missing and not self.batched:
+            for key, inputs in missing.items():
+                results[key] = self._measure(self._lower(inputs, kind))
+        elif missing:
+            plans = self._plans_for(list(missing.values()), kind)
+            results.update(zip(missing, self._time_plans(plans)))
+        return [results[self._key(inputs)] for inputs in inputs_seq]
 
     def run(self, inputs: IterationInputs) -> IterationResult:
         """One full training iteration (forward + backward + update)."""
-        key = self._key(inputs)
-        if key not in self._train_cache:
-            if self.batched:
-                result = self._measure_plan(self._plan_for(inputs, "train"))
-            else:
-                result = self._measure(
-                    self.model.lower_iteration(inputs, self.device.config)
-                )
-            self._train_cache[key] = result
-        return self._train_cache[key]
+        result = self._results["train"].get(self._key(inputs))
+        if result is None:
+            (result,) = self.run_unique((inputs,), "train")
+        return result
 
     def run_forward(self, inputs: IterationInputs) -> IterationResult:
         """One forward-only (evaluation) pass."""
-        key = self._key(inputs)
-        if key not in self._fwd_cache:
-            if self.batched:
-                result = self._measure_plan(self._plan_for(inputs, "forward"))
-            else:
-                result = self._measure(
-                    self.model.lower_forward(inputs, self.device.config)
-                )
-            self._fwd_cache[key] = result
-        return self._fwd_cache[key]
-
-    def run_forward_unique(
-        self, inputs_seq: Sequence[IterationInputs]
-    ) -> list[IterationResult]:
-        """Forward results for many shapes, one device call for the lot.
-
-        The serving fast path's entry point: every shape missing from
-        the forward memo is lowered (through the plan cache), the
-        missing plans' work columns are stacked with
-        :meth:`~repro.hw.timing.WorkBatch.concat`, and one
-        :meth:`~repro.hw.device.GpuDevice.run_batch` times them all.
-        The timing engine is purely row-wise and per-plan reductions
-        fold exactly the rows that plan contributed, so every cached
-        result is bit-identical to a separate :meth:`run_forward` call —
-        asserted in ``tests/test_plan_equivalence.py``.
-
-        Shapes are processed in first-appearance order; the scalar
-        reference path (``batched=False``) simply defers to
-        :meth:`run_forward` per shape.
-        """
-        missing: list[tuple[tuple[int, int, int | None], IterationInputs]] = []
-        queued: set[tuple[int, int, int | None]] = set()
-        for inputs in inputs_seq:
-            key = self._key(inputs)
-            if key not in self._fwd_cache and key not in queued:
-                queued.add(key)
-                missing.append((key, inputs))
-        if not self.batched:
-            for _, inputs in missing:
-                self.run_forward(inputs)
-        elif len(missing) == 1:
-            self.run_forward(missing[0][1])
-        elif missing:
-            plans = [self._plan_for(inputs, "forward") for _, inputs in missing]
-            measurement = self.device.run_batch(
-                WorkBatch.concat([plan.work for plan in plans])
-            )
-            offset = 0
-            for (key, _), plan in zip(missing, plans):
-                upper = offset + len(plan)
-                self._fwd_cache[key] = self._reduce_plan(
-                    plan,
-                    measurement.time_s[offset:upper],
-                    measurement.counters.rows(offset, upper),
-                )
-                offset = upper
-        return [self._fwd_cache[self._key(inputs)] for inputs in inputs_seq]
+        result = self._results["forward"].get(self._key(inputs))
+        if result is None:
+            (result,) = self.run_unique((inputs,), "forward")
+        return result

@@ -58,24 +58,24 @@ def memoized_shape_walk(
     seq_len: np.ndarray,
     tgt_len: np.ndarray,
     batch: int,
-    run,
+    run_unique,
     on_result=None,
 ):
     """Walk unique ``(seq_len, tgt_len)`` shapes in first-appearance order.
 
     The shared core of shape-memoized simulation (training and
-    inference): ``run`` executes one :class:`IterationInputs` and
-    returns an :class:`~repro.train.iteration.IterationResult`;
+    inference): ``run_unique`` executes every unique shape's
+    :class:`IterationInputs` in one call (see
+    :meth:`~repro.train.iteration.IterationExecutor.run_unique`) and
+    returns one :class:`~repro.train.iteration.IterationResult` each;
     ``on_result`` (optional) observes each unique shape's inputs and
     result in epoch order — the autotune-charging hook.  Returns
     ``(time_s, profile_id, profiles)`` with the per-shape runtimes
     already broadcast to every iteration.
     """
     first_iterations, profile_id = dedupe_shapes(seq_len, tgt_len)
-    base_time = np.empty(first_iterations.size, dtype=np.float64)
-    profiles: list[IterationProfile] = []
-    for iteration in first_iterations:
-        inputs = IterationInputs(
+    shapes = [
+        IterationInputs(
             batch=batch,
             seq_len=int(seq_len[iteration]),
             tgt_len=(
@@ -84,10 +84,16 @@ def memoized_shape_walk(
                 else int(tgt_len[iteration])
             ),
         )
-        result = run(inputs)
+        for iteration in first_iterations
+    ]
+    results = run_unique(shapes)
+    base_time = np.fromiter(
+        (result.time_s for result in results), np.float64, len(results)
+    )
+    profiles: list[IterationProfile] = []
+    for inputs, result in zip(shapes, results):
         if on_result is not None:
             on_result(inputs, result)
-        base_time[len(profiles)] = result.time_s
         profiles.append(
             IterationProfile(
                 launches=result.launches,
@@ -173,7 +179,8 @@ class TrainingRunSimulator:
             self.eval_dataset, epoch=epoch, seed=self.seed, drop_last=False
         )
         return sum(
-            self.executor.run_forward(inputs).time_s for inputs in plan
+            result.time_s
+            for result in self.executor.run_unique(plan, "forward")
         )
 
     def run_training(
@@ -240,7 +247,7 @@ class TrainingRunSimulator:
 
         batch = self.batching.batch_size
         time_s, profile_id, profiles = memoized_shape_walk(
-            seq_len, tgt_len, batch, self.executor.run, charge_autotune
+            seq_len, tgt_len, batch, self.executor.run_unique, charge_autotune
         )
         noise = self._noise_column(epoch, count)
         if noise is not None:

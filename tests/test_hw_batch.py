@@ -16,7 +16,7 @@ import pytest
 from repro.hw.cache import TrafficProfile
 from repro.hw.compute import ComputeProfile
 from repro.hw.config import paper_config
-from repro.hw.device import BatchMeasurement, GpuDevice, clear_measure_caches
+from repro.hw.device import BatchMeasurement
 from repro.hw.timing import (
     TimingBreakdown,
     WorkBatch,
@@ -131,12 +131,3 @@ class TestDeviceBatch:
         for row, work in enumerate(WORKS):
             assert measurement.row(row) == device1.run(work)
 
-    def test_run_batch_memoised_by_identity(self, device1):
-        assert device1.run_batch(BATCH) is device1.run_batch(BATCH)
-
-    def test_shared_across_equal_config_devices(self):
-        clear_measure_caches()
-        first = GpuDevice(paper_config(4))
-        second = GpuDevice(paper_config(4))
-        assert first.run_batch(BATCH) is second.run_batch(BATCH)
-        clear_measure_caches()

@@ -10,8 +10,15 @@ approximately equal.
 
 from __future__ import annotations
 
+import sys
+import threading
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
+from repro.api.engine import AnalysisEngine
+from repro.api.spec import AnalysisSpec
 from repro.api.registry import (
     DATASETS,
     build_batching,
@@ -19,7 +26,8 @@ from repro.api.registry import (
     default_dataset,
 )
 from repro.hw.config import paper_config
-from repro.hw.device import GpuDevice
+from repro.hw.device import GpuDevice, clear_measure_caches
+from repro.kernels import clear_lowering_caches
 from repro.kernels.autotune import Autotuner
 from repro.kernels.gemm import (
     GEMM_VARIANTS,
@@ -29,8 +37,16 @@ from repro.kernels.gemm import (
     candidate_times,
 )
 from repro.hw.timing import time_work
+from repro.models.cnn import build_cnn
+from repro.models.convs2s import build_convs2s
 from repro.models.ds2 import build_ds2
-from repro.models.gnmt import build_gnmt
+from repro.models.gnmt import GnmtModel, build_gnmt
+from repro.models.plan import (
+    _WORK_COLUMNS,
+    PLAN_CACHE,
+    compile_plan,
+    resolve_plans,
+)
 from repro.models.spec import IterationInputs
 from repro.models.transformer import build_transformer
 from repro.train.inference import InferenceRunSimulator
@@ -101,7 +117,7 @@ class TestRunForwardUnique:
         # Duplicates interleaved: the gather must map repeats back to
         # the one result their shape produced.
         inputs_seq = [*shapes, shapes[0], *shapes]
-        results = bulk.run_forward_unique(inputs_seq)
+        results = bulk.run_unique(inputs_seq, "forward")
         assert len(results) == len(inputs_seq)
         for inputs, result in zip(inputs_seq, results):
             assert_results_identical(result, reference.run_forward(inputs))
@@ -112,10 +128,10 @@ class TestRunForwardUnique:
         executor = IterationExecutor(build_gnmt(), device)
         reference = IterationExecutor(build_gnmt(), device)
         first = SHAPES["gnmt"][0]
-        (solo,) = executor.run_forward_unique([first])
+        (solo,) = executor.run_unique([first], "forward")
         assert_results_identical(solo, reference.run_forward(first))
         # Everything cached: no new shapes, same objects returned.
-        again = executor.run_forward_unique([first, first])
+        again = executor.run_unique([first, first], "forward")
         assert again[0] is solo and again[1] is solo
 
     def test_scalar_executor_falls_back(self):
@@ -123,7 +139,7 @@ class TestRunForwardUnique:
         scalar = IterationExecutor(build_gnmt(), device, batched=False)
         reference = IterationExecutor(build_gnmt(), device, batched=False)
         shapes = SHAPES["gnmt"]
-        results = scalar.run_forward_unique(list(shapes))
+        results = scalar.run_unique(list(shapes), "forward")
         for inputs, result in zip(shapes, results):
             assert_results_identical(result, reference.run_forward(inputs))
 
@@ -243,8 +259,6 @@ class TestPlanCacheSharing:
         """Two executors over one model instance (the engine's pattern:
         ``resolve`` memoises one model per scenario) compile each shape
         once process-wide."""
-        from repro.models.plan import PLAN_CACHE
-
         model = build_gnmt()
         device = GpuDevice(paper_config(1))
         inputs = IterationInputs(batch=8, seq_len=333, tgt_len=331)
@@ -290,3 +304,175 @@ class TestPlanCacheSharing:
         clone = pickle.loads(pickle.dumps(model))
         assert clone.plan_key() != model.plan_key()
         assert "_plan_token" not in model.__getstate__()
+
+
+BUILTINS = {
+    **MODEL_BUILDERS,
+    "convs2s": build_convs2s,
+    "cnn": build_cnn,
+}
+
+#: Edge shapes (batch 1, seq 1, tgt 1 or absent, identity-premerge
+#: cases where batch * steps == batch) plus ordinary ones.
+RESOLVE_SHAPES = [
+    IterationInputs(batch=1, seq_len=1, tgt_len=1),
+    IterationInputs(batch=1, seq_len=1, tgt_len=None),
+    IterationInputs(batch=2, seq_len=1, tgt_len=7),
+    IterationInputs(batch=1, seq_len=12, tgt_len=1),
+    IterationInputs(batch=3, seq_len=37, tgt_len=5),
+    IterationInputs(batch=64, seq_len=300, tgt_len=290),
+]
+
+
+def assert_plans_identical(resolved, compiled):
+    """All seven plan fields (and the skeleton) equal, bit for bit."""
+    for name in _WORK_COLUMNS:
+        ours, theirs = getattr(resolved.work, name), getattr(compiled.work, name)
+        assert ours.dtype == theirs.dtype == np.float64, name
+        assert np.array_equal(ours.view(np.int64), theirs.view(np.int64)), name
+    for name in ("counts", "group_id", "name_id", "gemm_rows"):
+        ours, theirs = getattr(resolved, name), getattr(compiled, name)
+        assert ours.dtype == theirs.dtype == np.int64, name
+        assert np.array_equal(ours, theirs), name
+    assert resolved.groups == compiled.groups
+    assert resolved.names == compiled.names
+    assert resolved.gemm_shapes == compiled.gemm_shapes
+
+
+class TestPlanResolution:
+    """A shape's plan resolved from its skeleton on another config is
+    the plan lowering and compiling it there would produce."""
+
+    @pytest.mark.parametrize("network", sorted(BUILTINS))
+    def test_resolved_equals_lowered_from_every_start(self, network):
+        model = BUILTINS[network]()
+        compiled = {
+            index: [
+                compile_plan(lower(inputs, paper_config(index)))
+                for inputs in RESOLVE_SHAPES
+                for lower in (model.lower_iteration, model.lower_forward)
+            ]
+            for index in CONFIGS
+        }
+        assert all(plan.gemm_rows is not None for plan in compiled[1])
+        for start in CONFIGS:
+            for target in CONFIGS:
+                # All shapes and passes at once: one race, one splice.
+                resolved = resolve_plans(compiled[start], paper_config(target))
+                for ours, theirs in zip(resolved, compiled[target], strict=True):
+                    assert_plans_identical(ours, theirs)
+                # Resolving from a plan that was itself resolved.
+                again = resolve_plans(resolved, paper_config(start))
+                for ours, theirs in zip(again, compiled[start], strict=True):
+                    assert_plans_identical(ours, theirs)
+
+    def test_no_plans(self):
+        assert resolve_plans([], paper_config(2)) == []
+
+
+def clear_process_caches():
+    PLAN_CACHE.clear()
+    clear_lowering_caches()
+    clear_measure_caches()
+
+
+class CountingGnmt(GnmtModel):
+    """GNMT that counts its forward lowerings."""
+
+    lowered = 0
+
+    def lower_forward(self, inputs, config):
+        self.lowered += 1
+        return super().lower_forward(inputs, config)
+
+
+class TestCrossConfigSimulation:
+    """The first config a shape meets lowers it; later configs resolve
+    it.  Which config comes first must not change any number."""
+
+    @pytest.mark.parametrize("network", ["gnmt", "ds2"])
+    def test_config_order_does_not_change_frames(self, network):
+        spec = AnalysisSpec(network=network, scale=0.02)
+
+        def frames(order):
+            clear_process_caches()
+            engine = AnalysisEngine()
+            return {
+                index: engine.frame_for(replace(spec, config=index))
+                for index in order
+            }
+
+        forward = frames((1, 2, 3, 4, 5))
+        backward = frames((5, 3, 1, 4, 2))
+        for index in CONFIGS:
+            assert forward[index].autotune_s == backward[index].autotune_s
+            assert forward[index].to_payload() == backward[index].to_payload()
+
+    def test_clearing_caches_forgets_skeletons_and_races(self):
+        model = CountingGnmt()
+        inputs = IterationInputs(batch=4, seq_len=9, tgt_len=8)
+        IterationExecutor(model, GpuDevice(paper_config(1))).run_forward(inputs)
+        result = IterationExecutor(model, GpuDevice(paper_config(2))).run_forward(
+            inputs
+        )
+        assert model.lowered == 1  # config 2 was resolved
+        seeded = candidate_times(*result.gemm_shapes[0], paper_config(2))
+        clear_process_caches()
+        again = IterationExecutor(model, GpuDevice(paper_config(2))).run_forward(
+            inputs
+        )
+        assert model.lowered == 2  # no skeleton survived
+        assert candidate_times(*result.gemm_shapes[0], paper_config(2)) is not seeded
+        assert_results_identical(again, result)
+
+    def test_plan_hits_skip_skeleton_lookups(self, monkeypatch):
+        model = build_gnmt()
+        shapes = SHAPES["gnmt"]
+        device = GpuDevice(paper_config(3))
+        first = IterationExecutor(model, device).run_unique(shapes, "forward")
+
+        def refuse(key):
+            raise AssertionError("skeleton looked up on a plan-cache hit")
+
+        monkeypatch.setattr(PLAN_CACHE, "skeleton", refuse)
+        again = IterationExecutor(model, device).run_unique(shapes, "forward")
+        for ours, theirs in zip(again, first):
+            assert_results_identical(ours, theirs)
+
+    def test_concurrent_lowering_and_resolution_agree(self):
+        """Threads racing one model's shapes over the configs in
+        different orders (so each shape is lowered by one thread and
+        resolved by the others) all see the lowered numbers."""
+        shapes = SHAPES["gnmt"]
+        reference = {
+            index: IterationExecutor(
+                build_gnmt(), GpuDevice(paper_config(index))
+            ).run_unique(shapes, "forward")
+            for index in CONFIGS
+        }
+        clear_process_caches()
+        model = build_gnmt()
+        seen = []
+
+        def worker(offset):
+            for index in CONFIGS[offset:] + CONFIGS[:offset]:
+                executor = IterationExecutor(model, GpuDevice(paper_config(index)))
+                seen.append((index, executor.run_unique(shapes, "forward")))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(offset,)) for offset in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 4 * len(CONFIGS)
+        for index, results in seen:
+            for ours, theirs in zip(results, reference[index], strict=True):
+                assert_results_identical(ours, theirs)

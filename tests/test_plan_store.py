@@ -80,6 +80,20 @@ class TestFingerprints:
             GnmtModel().plan_fingerprint()
         )
 
+    def test_no_store_never_builds_a_fingerprint(self):
+        from repro.hw.device import GpuDevice
+        from repro.train.iteration import IterationExecutor
+
+        class Unfingerprinted(GnmtModel):
+            def plan_fingerprint(self):
+                raise AssertionError("fingerprint built without a store")
+
+        assert PLAN_CACHE.store is None
+        executor = IterationExecutor(Unfingerprinted(), GpuDevice(paper_config(1)))
+        inputs = IterationInputs(batch=4, seq_len=12, tgt_len=10)
+        assert executor.run(inputs).time_s > 0
+        assert executor.run_forward(inputs).time_s > 0
+
     def test_equal_models_share_a_key(self):
         assert PlanStore.key_for(GnmtModel().plan_fingerprint()) == (
             PlanStore.key_for(GnmtModel().plan_fingerprint())

@@ -1,5 +1,6 @@
 """Additional property-based tests: selection strategies, traces, counters."""
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core.baselines import (
@@ -12,7 +13,17 @@ from repro.core.binning import bin_stats, bin_stats_equal_mass
 from repro.core.projection import project_total
 from repro.core.selection import select_from_bin
 from repro.core.sl_stats import SlStatistics
+from repro.hw.config import PAPER_CONFIGS
 from repro.hw.counters import CounterSet
+from repro.hw.timing import WorkBatch
+from repro.kernels.gemm import (
+    GEMM_VARIANTS,
+    _candidate_times_scalar,
+    build_gemm,
+    candidate_times_many,
+    clear_gemm_caches,
+    gemm_work,
+)
 from repro.train.trace import TrainingTrace
 from tests.conftest import make_trace
 
@@ -130,3 +141,53 @@ def test_counter_scaling_distributes(a, factor):
         assert abs(getattr(doubled, field) - value * factor) <= 1e-6 * max(
             1.0, abs(value * factor)
         )
+
+
+# ---- the columnar GEMM race is the scalar race, bit for bit ---------------
+
+#: Dims across the whole range, and dims next to tile multiples (where
+#: the exact/edge tiling and padding flip).
+gemm_dims = st.one_of(
+    st.integers(min_value=1, max_value=100_000),
+    st.builds(
+        lambda tile, multiple, offset: max(1, tile * multiple + offset),
+        st.sampled_from([16, 32, 64, 128]),
+        st.integers(min_value=1, max_value=780),
+        st.integers(min_value=-1, max_value=1),
+    ),
+)
+gemm_problems = st.lists(
+    st.tuples(gemm_dims, gemm_dims, gemm_dims), min_size=1, max_size=12
+)
+
+
+@given(gemm_problems)
+@settings(max_examples=60, deadline=None)
+def test_array_race_rows_equal_the_scalar_loop(problems):
+    for config in PAPER_CONFIGS.values():
+        clear_gemm_caches()  # race every problem afresh
+        rows = candidate_times_many(problems, config)
+        for row, (m, n, k) in zip(rows, problems, strict=True):
+            scalar = _candidate_times_scalar(m, n, k, config)
+            assert np.array_equal(row.view(np.int64), scalar.view(np.int64))
+
+
+@given(gemm_problems, st.data())
+@settings(max_examples=40, deadline=None)
+def test_columnar_gemm_build_equals_build_gemm(problems, data):
+    variants = data.draw(
+        st.lists(
+            st.integers(0, len(GEMM_VARIANTS) - 1),
+            min_size=len(problems),
+            max_size=len(problems),
+        )
+    )
+    work, names = gemm_work(variants, problems)
+    built = [
+        build_gemm(GEMM_VARIANTS[v], *dims) for v, dims in zip(variants, problems)
+    ]
+    expected = WorkBatch.from_profiles([invocation.work for invocation in built])
+    for name in vars(expected):
+        ours, theirs = getattr(work, name), getattr(expected, name)
+        assert np.array_equal(ours.view(np.int64), theirs.view(np.int64)), name
+    assert names == [invocation.name for invocation in built]

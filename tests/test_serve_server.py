@@ -5,8 +5,10 @@ HTTP-contract tests run a real :class:`ReproServer` on an ephemeral
 port and talk to it with ``urllib`` and raw sockets.
 """
 
+import http.client
 import json
 import socket
+import statistics
 import threading
 import time
 import urllib.error
@@ -22,6 +24,7 @@ from repro.api.spec import AnalysisSpec
 from repro.core.seqpoint import SeqPointSelector
 from repro.errors import ConfigurationError
 from repro.serve import ReproServer, ServeApp
+from repro.serve.server import MAX_BODY_BYTES
 from repro.stream.spec import StreamSpec
 
 ANALYSIS = AnalysisSpec(network="gnmt", scale=0.02)
@@ -560,3 +563,69 @@ class TestHttpTransport:
         latency = envelope["latency"]
         assert latency["GET /healthz"]["count"] == 3
         assert latency["GET /healthz"]["p50_ms"] >= 0
+
+    @staticmethod
+    def raw_request(server, request: bytes) -> tuple[int, dict, bytes]:
+        """Send raw bytes; return (status, envelope, header block)."""
+        with socket.create_connection((server.host, server.port), timeout=10) as sock:
+            sock.sendall(request)
+            received = b""
+            while chunk := sock.recv(65536):
+                received += chunk
+        head, _, body = received.partition(b"\r\n\r\n")
+        status = int(head.split(b" ", 2)[1])
+        return status, json.loads(body), head
+
+    @pytest.mark.parametrize("length", [b"abc", b"-5", b"+7", b"1_0"])
+    def test_malformed_content_length_gets_an_envelope(self, server, length):
+        status, envelope, head = self.raw_request(
+            server,
+            b"POST /jobs HTTP/1.1\r\nHost: x\r\nContent-Length: %s\r\n\r\n{}"
+            % length,
+        )
+        assert status == 400
+        assert envelope["ok"] is False
+        assert envelope["error"]["type"] == "ProtocolError"
+        assert "Content-Length" in envelope["error"]["message"]
+        assert "\n" not in envelope["error"]["message"]
+        assert b"Connection: close" in head
+        # The daemon keeps serving.
+        assert self.call(f"{server.url}/healthz")[0] == 200
+
+    def test_oversized_body_refused_before_reading(self, server):
+        # Only the headers are sent: the daemon must answer without
+        # waiting for (or buffering) the announced body.
+        status, envelope, _ = self.raw_request(
+            server,
+            b"POST /jobs HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n"
+            % (MAX_BODY_BYTES + 1),
+        )
+        assert status == 400
+        assert envelope["error"]["type"] == "ProtocolError"
+        assert "limit" in envelope["error"]["message"]
+        assert self.call(f"{server.url}/healthz")[0] == 200
+
+    @pytest.mark.skipif(
+        not hasattr(socket, "TCP_QUICKACK"), reason="needs TCP_QUICKACK"
+    )
+    def test_keep_alive_responses_do_not_stall(self, server):
+        # A steady keep-alive client delays its ACKs; a response written
+        # in two sends must not wait for them (Nagle's algorithm).
+        connection = http.client.HTTPConnection(server.host, server.port, timeout=10)
+        round_trips = []
+        try:
+            for _ in range(10):
+                if connection.sock is None:
+                    connection.connect()
+                connection.sock.setsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_QUICKACK, 0
+                )
+                started = time.perf_counter()
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                response.read()
+                round_trips.append(time.perf_counter() - started)
+                assert response.status == 200
+        finally:
+            connection.close()
+        assert statistics.median(round_trips) < 0.020

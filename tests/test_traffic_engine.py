@@ -1,6 +1,7 @@
 """AnalysisEngine.run_traffic: the serving loop end to end."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,6 +154,27 @@ class TestOfflineEquivalence:
                 "config3_error_pct": abs(projected - actual) / actual * 100.0,
             }
             assert inference_outcome(network, scale) == legacy
+
+
+class TestRepeatedRuns:
+    def test_repeated_runs_retain_no_memory(self):
+        # Each run times its unique shapes through freshly concatenated
+        # work batches; nothing may keep them once the run is over.
+        engine = AnalysisEngine()
+        spec = TrafficSpec(
+            analysis=AnalysisSpec(network="gnmt", scale=0.02), requests=2048
+        )
+        first = engine.run_traffic(spec)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(10):
+                again = engine.run_traffic(spec)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 1 << 20
+        assert again.to_dict() == first.to_dict()
 
 
 class TestTrafficPlanStore:
