@@ -55,8 +55,8 @@ class FrequentSelector:
 
     def select(self, trace: TrainingTrace | TraceFrame) -> Selection:
         statistics = SlStatistics.from_trace(trace)
-        best = statistics.stats[int(np.argmax(statistics.iterations_column))]
-        return _single_point(self.METHOD, statistics, best.seq_len)
+        best = statistics.seq_lens_column[np.argmax(statistics.iterations_column)]
+        return _single_point(self.METHOD, statistics, int(best))
 
 
 class MedianSelector:
@@ -88,14 +88,10 @@ class WorstSelector:
 
         # Projection error of re-running each SL's representative
         # iteration and scaling by the epoch's iteration count.
-        representative_times = np.fromiter(
-            (stat.representative.time_s for stat in statistics),
-            np.float64,
-            len(statistics),
-        )
+        representative_times = statistics.representatives.time_s
         errors = np.abs(representative_times * total_iterations - actual)
-        worst = statistics.stats[int(np.argmax(errors))]
-        return _single_point(self.METHOD, statistics, worst.seq_len)
+        worst = statistics.seq_lens_column[np.argmax(errors)]
+        return _single_point(self.METHOD, statistics, int(worst))
 
 
 class PriorSelector:

@@ -16,7 +16,7 @@ import numpy as np
 from repro.errors import SelectionError
 from repro.core.sl_stats import SlStat, SlStatistics
 
-__all__ = ["Bin", "bin_stats", "bin_stats_equal_mass"]
+__all__ = ["Bin", "bin_stats", "bin_stats_equal_mass", "bucket_indices"]
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,13 @@ class Bin:
 
     @property
     def total_time_s(self) -> float:
-        return sum(stat.total_time_s for stat in self.stats)
+        # An explicit left fold: Python 3.12+'s sum() compensates float
+        # rounding, and bins must total the same on every version (and
+        # as np.bincount does in the SeqPoint k-sweep).
+        total = 0.0
+        for stat in self.stats:
+            total += stat.total_time_s
+        return total
 
     @property
     def mean_time_s(self) -> float:
@@ -44,6 +50,23 @@ class Bin:
     @property
     def seq_lens(self) -> tuple[int, ...]:
         return tuple(stat.seq_len for stat in self.stats)
+
+
+def bucket_indices(seq_lens: np.ndarray, k: int) -> np.ndarray:
+    """Equal-width bin of each sorted unique SL when splitting into ``k``.
+
+    The one bucket assignment shared by :func:`bin_stats` and the
+    SeqPoint k-sweep: bin ``int((sl - lo) / width)`` over the observed
+    range, the top edge folded into the last bin, and everything in
+    bin 0 when the range is a single SL or ``k == 1``.  The result is
+    non-decreasing, so every bin is a contiguous run of ``seq_lens``.
+    """
+    lo = seq_lens[0]
+    hi = seq_lens[-1]
+    if lo == hi or k == 1:
+        return np.zeros(seq_lens.size, dtype=np.int64)
+    width = (hi - lo) / k
+    return np.minimum(((seq_lens - lo) / width).astype(np.int64), k - 1)
 
 
 def bin_stats(statistics: SlStatistics, k: int) -> list[Bin]:
@@ -62,11 +85,7 @@ def bin_stats(statistics: SlStatistics, k: int) -> list[Bin]:
         return [Bin(lo=float(lo), hi=float(hi), stats=tuple(statistics))]
 
     width = (hi - lo) / k
-    # Vectorized bucket assignment over the per-SL column; the float
-    # arithmetic matches the scalar `int((sl - lo) / width)` exactly.
-    indices = np.minimum(
-        ((statistics.seq_lens_column - lo) / width).astype(np.int64), k - 1
-    )
+    indices = bucket_indices(statistics.seq_lens_column, k)
     buckets: list[list[SlStat]] = [[] for _ in range(k)]
     for stat, index in zip(statistics, indices):
         buckets[index].append(stat)

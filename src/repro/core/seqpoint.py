@@ -12,15 +12,21 @@ Given a logged epoch trace:
    compare against the logged epoch runtime;
 5. grow ``k`` and repeat until the error drops below the user
    threshold ``e`` (or every unique SL is its own bin).
+
+Steps 3-5 run as array operations on the per-SL columns, bit-identical
+to binning with :func:`~repro.core.binning.bin_stats` and picking with
+:func:`~repro.core.selection.select_from_bin`; records are built only
+for the points returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.binning import bin_stats
-from repro.core.projection import project_logged_time
-from repro.core.selection import SelectedPoint, Selection, select_from_bin
+import numpy as np
+
+from repro.core.binning import bucket_indices
+from repro.core.selection import SelectedPoint, Selection
 from repro.core.sl_stats import SlStatistics
 from repro.errors import SelectionError
 from repro.train.frame import TraceFrame
@@ -94,58 +100,79 @@ class SeqPointSelector:
         self.error_threshold_pct = error_threshold_pct
         self.max_bins = max_bins
 
-    def _all_unique(self, statistics: SlStatistics) -> Selection:
-        points = tuple(
-            SelectedPoint(record=stat.representative, weight=float(stat.iterations))
-            for stat in statistics
-        )
-        return Selection(method=self.METHOD, points=points)
-
-    def _evaluate(
-        self, selection: Selection, actual_total_s: float
-    ) -> tuple[float, float]:
-        projected = project_logged_time(selection)
-        return projected, percent_error(projected, actual_total_s)
-
     def select(self, trace: TrainingTrace | TraceFrame) -> SeqPointResult:
         """Run the full identification loop on ``trace``.
 
         Accepts a row-oriented trace or its columnar frame directly;
         the per-SL grouping is computed once per frame and shared with
-        any other selector run on the same trace.
+        any other selector run on the same trace.  The loop runs on the
+        statistics' columns and builds records for the returned points
+        only.
         """
         statistics = SlStatistics.from_trace(trace)
         actual = statistics.total_time_s
+        representatives = statistics.representatives
+        times = representatives.time_s
 
         if len(statistics) <= self.max_unique:
-            selection = self._all_unique(statistics)
-            projected, error = self._evaluate(selection, actual)
-            return SeqPointResult(
-                selection=selection,
-                k=0,
-                identification_error_pct=error,
-                projected_total_s=projected,
-                actual_total_s=actual,
+            k = 0
+            rows = np.arange(len(statistics))
+            weights = statistics.iterations_column.astype(np.float64)
+            projected = float(times @ weights)
+            error = percent_error(projected, actual)
+        else:
+            ceiling = min(
+                self.max_bins if self.max_bins is not None else len(statistics),
+                len(statistics),
             )
-
-        ceiling = min(
-            self.max_bins if self.max_bins is not None else len(statistics),
-            len(statistics),
+            k = min(self.initial_bins, ceiling)
+            while True:
+                rows, weights = _closest_mean_bins(statistics, k)
+                # Equation 1, as project_logged_time computes it.
+                projected = float(times[rows] @ weights)
+                error = percent_error(projected, actual)
+                if error < self.error_threshold_pct or k >= ceiling:
+                    break
+                k += 1
+        selection = Selection(
+            method=self.METHOD,
+            points=tuple(
+                SelectedPoint(record=representatives.record(row), weight=weight)
+                for row, weight in zip(rows.tolist(), weights.tolist())
+            ),
         )
-        k = min(self.initial_bins, ceiling)
-        while True:
-            bins = bin_stats(statistics, k)
-            selection = Selection(
-                method=self.METHOD,
-                points=tuple(select_from_bin(b) for b in bins),
-            )
-            projected, error = self._evaluate(selection, actual)
-            if error < self.error_threshold_pct or k >= ceiling:
-                return SeqPointResult(
-                    selection=selection,
-                    k=k,
-                    identification_error_pct=error,
-                    projected_total_s=projected,
-                    actual_total_s=actual,
-                )
-            k += 1
+        return SeqPointResult(
+            selection=selection,
+            k=k,
+            identification_error_pct=error,
+            projected_total_s=projected,
+            actual_total_s=actual,
+        )
+
+
+def _closest_mean_bins(
+    statistics: SlStatistics, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each non-empty bin's representative SL and weight, for ``k`` bins.
+
+    The columnar form of ``bin_stats`` + ``select_from_bin`` (the
+    paper's closest-mean choice): returns the positions of the chosen
+    unique SLs and their bins' iteration counts, in ascending SL order.
+    Bin totals fold left in SL order as ``Bin.total_time_s`` does, and a
+    bin's representative is its first SL at the minimal
+    ``|mean - bin mean|``, as ``np.argmin`` picks it.
+    """
+    bucket = bucket_indices(statistics.seq_lens_column, k)
+    iterations = np.bincount(
+        bucket, weights=statistics.iterations_column, minlength=k
+    )
+    totals = np.bincount(bucket, weights=statistics.totals_column, minlength=k)
+    occupied = iterations > 0
+    bin_means = np.divide(totals, iterations, out=np.zeros(k), where=occupied)
+    deviation = np.abs(statistics.means_column - bin_means[bucket])
+    # Bins are contiguous runs of the sorted SLs, so each bin's run
+    # starts where the stable sort by (bin, deviation) puts its minimum.
+    order = np.lexsort((np.arange(bucket.size), deviation, bucket))
+    bins = np.flatnonzero(occupied)
+    rows = order[np.searchsorted(bucket, bins)]
+    return rows, iterations[bins]

@@ -6,7 +6,8 @@ of arriving iterations:
 
 1. iterations absorb into a :class:`StreamingSlStatistics`;
 2. every ``cadence`` iterations the selector re-runs on the prefix
-   (reusing the incremental per-SL group-by);
+   (reusing the incremental per-SL group-by; a segment-aware selector
+   also resumes its detection and re-selects only the open segment);
 3. convergence is declared once the selected ``(seq_len, tgt_len)`` set
    and the projected mean iteration time are stable across ``patience``
    consecutive checks (relative tolerance ``rtol``), at which point the

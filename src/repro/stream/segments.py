@@ -370,6 +370,13 @@ def segment_frame(
     )
 
 
+#: The frame columns a base selector reads, checked before a resume
+#: (``profile_id`` with the profile pool: the rows' profile objects).
+_CHECKED_COLUMNS = (
+    "index", "epoch", "seq_len", "tgt_len", "time_s", "profile_id",
+)
+
+
 def _epoch_runs(frame: TraceFrame) -> tuple[tuple[int, int], ...]:
     """Maximal runs of constant ``epoch`` column, in stream order."""
     epoch = frame.epoch
@@ -392,6 +399,19 @@ class SegmentedSelector:
     recent segment keeps weight 1), renormalised so the combined
     projection mass still spans the whole trace — the drift-schedule
     variant's forecast of a drifting SL distribution.
+
+    Successive calls on a growing stream are incremental.  The instance
+    keeps its segmenters and its closed segments' base outcomes, and
+    resumes when a frame extends the previous one: equal bit for bit
+    in every column a base selector reads (``index``, ``epoch``,
+    ``seq_len``, ``tgt_len``, ``time_s``) over the previous length,
+    with the same profile objects.  A resumed call scores only the new
+    windows and re-selects only the open segment; closed segments never
+    change, since changepoints are append-only.  Any other frame
+    replays detection from its first window.  Either way the result is
+    what a fresh instance returns.  The state makes an instance
+    single-owner: one run, or one serve session feeding it under its
+    lock, uses it at a time.
     """
 
     def __init__(
@@ -431,6 +451,16 @@ class SegmentedSelector:
         self.min_segment = probe.min_segment
         self.split_epochs = bool(split_epochs)
         self.decay = float(decay)
+        self._reset()
+
+    def _reset(self) -> None:
+        #: The last frame's checked columns and profile pool.
+        self._seen: tuple | None = None
+        #: ``(start, segmenter)`` per detection run: the whole stream,
+        #: or each epoch run with ``split_epochs``.
+        self._runs: list[tuple[int, StreamSegmenter]] = []
+        #: Closed segments' base outcomes, as ``_select_segment`` rows.
+        self._closed: dict[Segment, tuple] = {}
 
     @property
     def method(self) -> str:
@@ -439,28 +469,66 @@ class SegmentedSelector:
         return f"{variant}[{base}]"
 
     def segment(self, frame: TraceFrame) -> tuple[Segment, ...]:
-        """The partition ``select`` will use on this frame."""
-        if not self.split_epochs:
-            return self._detect(frame, offset=0)
+        """The partition ``select`` will use on this frame.
+
+        Brings this instance's detection up to ``frame``: resumed when
+        the frame extends the last one seen, replayed otherwise.
+        """
+        if not self._extends(frame):
+            self._reset()
+        self._seen = None  # until detection below completes
+        if self.split_epochs:
+            runs = _epoch_runs(frame)
+        else:
+            runs = ((0, len(frame)),)
+        # Runs before the previous last one ended at an epoch change
+        # and have nothing left to score.
+        for position in range(max(len(self._runs) - 1, 0), len(runs)):
+            start, stop = runs[position]
+            if position == len(self._runs):
+                self._runs.append((start, self._new_segmenter()))
+            segmenter = self._runs[position][1]
+            segmenter.observe(
+                frame if stop - start == len(frame) else frame.slice(start, stop)
+            )
+        self._seen = (
+            tuple(getattr(frame, name) for name in _CHECKED_COLUMNS),
+            frame.profiles,
+        )
         segments: list[Segment] = []
-        for start, stop in _epoch_runs(frame):
+        for (start, segmenter), (_, stop) in zip(self._runs, runs):
+            edges = (0,) + segmenter.changepoints + (stop - start,)
             segments.extend(
-                self._detect(frame.slice(start, stop), offset=start)
+                Segment(start + lo, start + hi)
+                for lo, hi in zip(edges, edges[1:])
             )
         return tuple(segments)
 
-    def _detect(self, frame: TraceFrame, offset: int) -> tuple[Segment, ...]:
-        return tuple(
-            Segment(offset + seg.start, offset + seg.stop)
-            for seg in segment_frame(
-                frame,
-                cadence=self.cadence,
-                hazard=self.hazard,
-                threshold=self.threshold,
-                drift_rtol=self.drift_rtol,
-                min_segment=self.min_segment,
-            )
+    def _new_segmenter(self) -> StreamSegmenter:
+        return StreamSegmenter(
+            cadence=self.cadence,
+            hazard=self.hazard,
+            threshold=self.threshold,
+            drift_rtol=self.drift_rtol,
+            min_segment=self.min_segment,
         )
+
+    def _extends(self, frame: TraceFrame) -> bool:
+        """Does ``frame`` continue the last frame this instance saw?"""
+        if self._seen is None:
+            return False
+        columns, profiles = self._seen
+        seen = len(columns[0])
+        if len(frame) < seen or len(frame.profiles) < len(profiles):
+            return False
+        for name, column in zip(_CHECKED_COLUMNS, columns):
+            now = getattr(frame, name)[:seen]
+            if name == "time_s":
+                # Bitwise: a float compare equates -0.0 with 0.0.
+                now, column = now.view(np.int64), column.view(np.int64)
+            if not np.array_equal(now, column):
+                return False
+        return all(a is b for a, b in zip(profiles, frame.profiles))
 
     def select(self, trace: Any) -> Any:
         frame = as_frame(trace)
@@ -471,25 +539,14 @@ class SegmentedSelector:
             return self.base.select(frame)
 
         per_segment = []
-        for segment in segments:
-            sub = frame.slice(segment.start, segment.stop)
-            outcome = self.base.select(sub)
-            if isinstance(outcome, SeqPointResult):
-                selection = outcome.selection
-                k = outcome.k
-                projected = outcome.projected_total_s
-                actual = outcome.actual_total_s
-            elif isinstance(outcome, Selection):
-                selection = outcome
-                k = 0
-                projected = project_logged_time(outcome)
-                actual = SlStatistics.from_trace(sub).total_time_s
-            else:
-                raise ConfigurationError(
-                    f"base selector returned {type(outcome).__name__}, "
-                    "expected a Selection or SeqPointResult"
+        for segment in segments[:-1]:
+            row = self._closed.get(segment)
+            if row is None:
+                row = self._closed[segment] = self._select_segment(
+                    frame, segment
                 )
-            per_segment.append((segment, selection, k, projected, actual))
+            per_segment.append(row)
+        per_segment.append(self._select_segment(frame, segments[-1]))
 
         scales = self._scales(per_segment)
         points: list[SelectedPoint] = []
@@ -531,6 +588,31 @@ class SegmentedSelector:
             projected_total_s=projected_total,
             actual_total_s=actual_total,
             segments=tuple(summaries),
+        )
+
+    def _select_segment(self, frame: TraceFrame, segment: Segment) -> tuple:
+        """``(segment, selection, k, projected, actual)`` of one segment."""
+        sub = frame.slice(segment.start, segment.stop)
+        outcome = self.base.select(sub)
+        if isinstance(outcome, SeqPointResult):
+            return (
+                segment,
+                outcome.selection,
+                outcome.k,
+                outcome.projected_total_s,
+                outcome.actual_total_s,
+            )
+        if isinstance(outcome, Selection):
+            return (
+                segment,
+                outcome,
+                0,
+                project_logged_time(outcome),
+                SlStatistics.from_trace(sub).total_time_s,
+            )
+        raise ConfigurationError(
+            f"base selector returned {type(outcome).__name__}, "
+            "expected a Selection or SeqPointResult"
         )
 
     def _scales(self, per_segment: list) -> list[float]:

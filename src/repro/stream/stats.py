@@ -27,6 +27,7 @@ reuse the streaming group-by instead of recomputing it.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -179,6 +180,10 @@ class StreamingSlStatistics:
     def _account(self, seq_len: int, time_s: float) -> None:
         if time_s <= 0.0:
             raise TraceError(f"iteration {len(self)}: non-positive time")
+        if not math.isfinite(time_s):
+            raise TraceError(
+                f"iteration {len(self)}: non-finite time {float(time_s)!r}"
+            )
         self._counts[seq_len] = self._counts.get(seq_len, 0) + 1
         self._totals[seq_len] = self._totals.get(seq_len, 0.0) + time_s
 
@@ -226,6 +231,13 @@ class StreamingSlStatistics:
         time_chunk = frame.time_s[start:stop]
         if np.any(time_chunk <= 0.0):
             raise TraceError(f"iteration {len(self)}: non-positive time")
+        finite = np.isfinite(time_chunk)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise TraceError(
+                f"iteration {len(self) + bad}: non-finite time "
+                f"{float(time_chunk[bad])!r}"
+            )
         # Bulk-advance the running accumulators while preserving the
         # exact per-SL addition sequence: each SL's existing total rides
         # as a leading weight, and ``np.bincount`` folds weights

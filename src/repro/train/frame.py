@@ -270,6 +270,34 @@ class TraceFrame:
             storage=self.storage,
         )
 
+    def take(self, rows: np.ndarray) -> "TraceFrame":
+        """A compact frame of the iterations at ``rows``, in that order.
+
+        The columns are copies and the profile pool is shared (and
+        materialised), so the result keeps neither this frame nor its
+        columns alive.  Rows of a frame columnarised from records keep
+        their original record objects.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        return TraceFrame(
+            model_name=self.model_name,
+            dataset_name=self.dataset_name,
+            config_name=self.config_name,
+            batch_size=self.batch_size,
+            index=self.index[rows],
+            epoch=self.epoch[rows],
+            seq_len=self.seq_len[rows],
+            tgt_len=self.tgt_len[rows],
+            time_s=self.time_s[rows],
+            profile_id=self.profile_id[rows],
+            profiles=self.profiles,
+            source_records=(
+                None
+                if self._source_records is None
+                else tuple(self._source_records[i] for i in rows.tolist())
+            ),
+        )
+
     def with_phases(self, autotune_s: float, eval_s: float) -> "TraceFrame":
         """A frame sharing these columns with different phase totals."""
         return TraceFrame(

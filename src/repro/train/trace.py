@@ -20,6 +20,7 @@ generated once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -49,6 +50,11 @@ class IterationRecord:
     def __post_init__(self) -> None:
         if self.time_s <= 0:
             raise TraceError(f"iteration {self.index}: non-positive time")
+        if not math.isfinite(self.time_s):
+            raise TraceError(
+                f"iteration {self.index}: non-finite time "
+                f"{float(self.time_s)!r}"
+            )
 
 
 class _RecordList(list):

@@ -12,6 +12,7 @@ import pytest
 from repro.hw.config import paper_config
 from repro.hw.counters import CounterSet
 from repro.hw.device import GpuDevice
+from repro.train.frame import TraceFrame
 from repro.train.trace import IterationRecord, TrainingTrace
 
 
@@ -66,6 +67,29 @@ def make_trace(
     for index, (seq_len, time_s) in enumerate(seq_len_times):
         trace.records.append(make_record(index, seq_len, time_s))
     return trace
+
+
+def with_time(frame: TraceFrame, row: int, time_s: float) -> TraceFrame:
+    """``frame`` with one iteration's runtime replaced, profiles shared.
+
+    Builds the frame directly, so it may hold a runtime that records
+    and the group-by reject.
+    """
+    times = frame.time_s.copy()
+    times[row] = time_s
+    return TraceFrame(
+        model_name=frame.model_name,
+        dataset_name=frame.dataset_name,
+        config_name=frame.config_name,
+        batch_size=frame.batch_size,
+        index=frame.index,
+        epoch=frame.epoch,
+        seq_len=frame.seq_len,
+        tgt_len=frame.tgt_len,
+        time_s=times,
+        profile_id=frame.profile_id,
+        profiles=frame.profiles,
+    )
 
 
 @pytest.fixture

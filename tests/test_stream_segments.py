@@ -1,5 +1,6 @@
 """Unit tests for quasi-stationary segmentation (repro.stream.segments)."""
 
+import numpy as np
 import pytest
 
 from repro.api import SELECTORS
@@ -12,11 +13,13 @@ from repro.stream import (
     SegmentedSelector,
     StreamSegmenter,
     StreamingIdentifier,
+    StreamingSlStatistics,
     replay,
     segment_frame,
 )
+from repro.train.frame import TraceFrame
 from repro.train.trace import TrainingTrace
-from tests.conftest import make_record, make_trace
+from tests.conftest import make_record, make_trace, with_time
 
 #: A stationary cycle (regime A) and a disjoint, slower one (regime B).
 REGIME_A = [(10, 0.1), (20, 0.2), (30, 0.3), (40, 0.4)]
@@ -324,3 +327,166 @@ class TestSessionIntegration:
             (p.seq_len, p.weight, p.record.time_s)
             for p in plain.selection.points
         ]
+
+
+def jittered_frame(blocks: list[tuple[int, float]], run: int, seed: int = 7):
+    """Blocks of SLs with per-iteration runtime jitter, in stream order.
+
+    Each ``(seq_len, time_s)`` block contributes ``run`` iterations over
+    three neighbouring SLs, so segments hold several unique SLs and the
+    base selector bins them.
+    """
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for seq_len, time_s in blocks:
+        for i in range(run):
+            sl = seq_len + 2 * (i % 3)
+            pairs.append((sl, time_s * sl / seq_len * rng.uniform(0.95, 1.05)))
+    return make_trace(pairs).frame()
+
+
+def sortagrad_like_frame():
+    """Monotone: every block of SLs strictly after the last."""
+    return jittered_frame(
+        [(10 * (step + 1), 0.1 * (step + 1)) for step in range(8)], 24
+    )
+
+
+def stationary_frame():
+    """Stationary: one SL cycle repeated, jittered."""
+    return jittered_frame([(10, 0.1), (40, 0.4), (70, 0.7)] * 24, 4)
+
+
+def outcome_key(outcome):
+    """Everything a selection reports, floats compared bitwise."""
+    return (
+        type(outcome).__name__,
+        [(p.record, p.weight.hex()) for p in outcome.selection.points],
+        outcome.k,
+        outcome.projected_total_s.hex(),
+        outcome.actual_total_s.hex(),
+        outcome.identification_error_pct.hex(),
+        [s.to_dict() for s in getattr(outcome, "segments", ())],
+    )
+
+
+class CountingSelector(SeqPointSelector):
+    """SeqPoint that logs the ``(first index, length)`` of each input."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen: list[tuple[int, int]] = []
+
+    def select(self, trace):
+        self.seen.append((int(trace.index[0]), len(trace)))
+        return super().select(trace)
+
+
+KNOBS = dict(cadence=8, min_segment=16)
+
+
+def fresh(**extra) -> SegmentedSelector:
+    return SegmentedSelector(SeqPointSelector(), **KNOBS, **extra)
+
+
+def stream_prefixes(frame: TraceFrame, step: int = 8):
+    """The frames a streaming session checks, one per cadence prefix."""
+    stats = StreamingSlStatistics.for_frame(frame)
+    for stop in range(step, len(frame) + 1, step):
+        stats.absorb_frame(frame, stop - step, stop)
+        yield stats.frame()
+
+
+class TestResumedSelector:
+    @pytest.mark.parametrize("make_frame", [sortagrad_like_frame, stationary_frame])
+    def test_long_lived_selector_matches_fresh_at_every_prefix(self, make_frame):
+        frame = make_frame()
+        kept = fresh()
+        for prefix in stream_prefixes(frame):
+            assert outcome_key(kept.select(prefix)) == outcome_key(
+                fresh().select(prefix)
+            )
+            assert kept.segment(prefix) == segment_frame(prefix, **KNOBS)
+        multi = make_frame is sortagrad_like_frame
+        assert (len(segment_frame(frame, **KNOBS)) > 3) == multi
+
+    def test_new_windows_scored_once_and_closed_segments_selected_once(
+        self, monkeypatch
+    ):
+        frame = sortagrad_like_frame()
+        prefixes = list(stream_prefixes(frame))
+        partitions = [segment_frame(prefix, **KNOBS) for prefix in prefixes]
+        scored = []
+        advance = StreamSegmenter._advance
+
+        def counting_advance(segmenter, source):
+            scored.append(segmenter.watched)
+            return advance(segmenter, source)
+
+        monkeypatch.setattr(StreamSegmenter, "_advance", counting_advance)
+        base = CountingSelector()
+        kept = SegmentedSelector(base, **KNOBS)
+        closed: list[Segment] = []
+        for prefix, segments in zip(prefixes, partitions):
+            before = len(base.seen)
+            kept.select(prefix)
+            # Each call selects the open segment, plus any segment that
+            # closed since the previous call; never an older one.
+            newly_closed = [s for s in segments[:-1] if s not in closed]
+            closed += newly_closed
+            expected = [(s.start, s.iterations) for s in newly_closed]
+            expected.append((segments[-1].start, segments[-1].iterations))
+            assert base.seen[before:] == expected
+        # One scoring per window of the whole stream, never a replay.
+        assert scored == list(range(0, len(frame), 8))
+        assert len(closed) > 3
+
+    def test_shorter_frame_replays(self):
+        frame = sortagrad_like_frame()
+        kept = fresh()
+        kept.select(frame)
+        shorter = frame.slice(0, 100)
+        assert outcome_key(kept.select(shorter)) == outcome_key(
+            fresh().select(shorter)
+        )
+
+    def test_edited_time_in_a_closed_segment_replays(self):
+        prefixes = list(stream_prefixes(sortagrad_like_frame()))
+        kept = fresh()
+        for prefix in prefixes[:-1]:
+            kept.select(prefix)
+        last = prefixes[-1]
+        first = segment_frame(last, **KNOBS)[0]
+        assert first.stop < len(prefixes[-2])  # closed before the edit
+        edited = with_time(last, first.start + 3, float(last.time_s[3]) * 1.5)
+        expected = outcome_key(fresh().select(edited))
+        assert expected != outcome_key(fresh().select(last))
+        assert outcome_key(kept.select(edited)) == expected
+
+    def test_unrelated_stream_on_the_same_instance_replays(self):
+        kept = fresh()
+        for prefix in stream_prefixes(sortagrad_like_frame()):
+            kept.select(prefix)
+        for prefix in stream_prefixes(stationary_frame()):
+            assert outcome_key(kept.select(prefix)) == outcome_key(
+                fresh().select(prefix)
+            )
+
+    def test_split_epochs_matches_fresh_at_every_prefix(self):
+        monotone = [(10 * (step + 1), 0.1 * (step + 1)) for step in range(4)]
+        trace = epoch_trace(
+            [
+                [(sl, t) for sl, t in monotone for _ in range(20)],
+                REGIME_A * 12,
+                [(sl, 2 * t) for sl, t in monotone for _ in range(16)],
+            ]
+        )
+        frame = trace.frame()
+        kept = fresh(split_epochs=True, decay=0.5)
+        outcomes = []
+        for prefix in stream_prefixes(frame, step=6):
+            outcomes.append(kept.select(prefix))
+            assert outcome_key(outcomes[-1]) == outcome_key(
+                fresh(split_epochs=True, decay=0.5).select(prefix)
+            )
+        assert len(outcomes[-1].segments) >= 4

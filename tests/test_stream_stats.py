@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.api import AnalysisEngine, AnalysisSpec
+from repro.core.seqpoint import SeqPointSelector
 from repro.core.sl_stats import SlStatistics
 from repro.errors import TraceError
 from repro.stream import StreamingSlStatistics
 from repro.train.frame import TraceFrame
-from tests.conftest import make_record, make_trace
+from tests.conftest import make_record, make_trace, with_time
 
 PAIRS = [
     (20, 0.20), (10, 0.11), (20, 0.22), (30, 0.29), (10, 0.10),
@@ -78,6 +80,31 @@ class TestValidation:
         object.__setattr__(bad, "time_s", -1.0)
         with pytest.raises(TraceError, match="non-positive"):
             stats.absorb(bad)
+
+    @pytest.mark.parametrize("bad_time", [float("nan"), float("inf")])
+    def test_non_finite_record_time_rejected(self, bad_time):
+        stats = StreamingSlStatistics()
+        stats.absorb(make_record(0, 10, 1.0))
+        bad = make_record(1, 10, 1.0)
+        object.__setattr__(bad, "time_s", bad_time)
+        with pytest.raises(TraceError, match=r"^iteration 1: non-finite time"):
+            stats.absorb(bad)
+        assert len(stats) == 1
+
+    def test_non_finite_chunk_time_names_the_iteration(self):
+        # A NaN in a real DS2 frame: absorbed unchecked, it drives
+        # SeqPoint to its bin ceiling and a NaN projection.
+        frame = AnalysisEngine().frame_for(
+            AnalysisSpec(network="ds2", scale=0.05, seed=1)
+        )
+        bad = with_time(frame, 5, np.nan)
+        stats = StreamingSlStatistics.for_frame(bad)
+        stats.absorb_frame(bad, 0, 3)
+        with pytest.raises(TraceError, match=r"^iteration 5: non-finite time nan$"):
+            stats.absorb_frame(bad, 3, 8)
+        assert len(stats) == 3
+        with pytest.raises(TraceError, match=r"^iteration 5: non-finite time nan$"):
+            SeqPointSelector().select(bad)
 
     def test_bad_chunk_bounds_rejected(self, frame):
         stats = StreamingSlStatistics.for_frame(frame)

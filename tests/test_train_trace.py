@@ -1,10 +1,19 @@
 """Unit tests for repro.train.trace."""
 
+import math
+
 import pytest
 
 from repro.errors import TraceError
 from repro.train.trace import TrainingTrace
 from tests.conftest import make_record, make_trace
+
+
+class TestIterationRecord:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, bad):
+        with pytest.raises(TraceError, match=r"^iteration 4: non-finite time"):
+            make_record(4, 10, bad)
 
 
 class TestTrainingTrace:
