@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-__all__ = ["CounterSet", "CounterColumns"]
+__all__ = ["COUNTER_FIELDS", "CounterSet", "CounterColumns"]
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,8 @@ class CounterSet:
         return CounterSet()
 
 
-_FIELD_NAMES = tuple(f.name for f in fields(CounterSet))
+#: :class:`CounterSet` field names, in declaration (constructor) order.
+COUNTER_FIELDS = tuple(f.name for f in fields(CounterSet))
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,10 +82,7 @@ class CounterColumns:
     """Columns of :class:`CounterSet`, one row per kernel invocation.
 
     The vectorized timing engine emits these instead of materialising a
-    :class:`CounterSet` per kernel.  ``scaled`` is the column form of
-    :meth:`CounterSet.scaled`; :meth:`sum_sequential` reduces every
-    column with the same left-to-right accumulation the scalar
-    reference loop performs, so totals agree bit for bit.
+    :class:`CounterSet` per kernel; the executor folds them per plan.
     """
 
     valu_insts: np.ndarray
@@ -97,33 +95,8 @@ class CounterColumns:
     def __len__(self) -> int:
         return int(self.valu_insts.size)
 
-    def scaled(self, factor: np.ndarray) -> "CounterColumns":
-        """Every column multiplied row-wise by ``factor``."""
-        return CounterColumns(
-            **{name: getattr(self, name) * factor for name in _FIELD_NAMES}
-        )
-
     def row(self, i: int) -> CounterSet:
         """Materialise one row as a scalar :class:`CounterSet`."""
         return CounterSet(
-            **{name: float(getattr(self, name)[i]) for name in _FIELD_NAMES}
+            **{name: float(getattr(self, name)[i]) for name in COUNTER_FIELDS}
         )
-
-    def rows(self, lo: int, hi: int) -> "CounterColumns":
-        """The ``[lo, hi)`` row range as its own column set (views)."""
-        return CounterColumns(
-            **{name: getattr(self, name)[lo:hi] for name in _FIELD_NAMES}
-        )
-
-    def sum_sequential(self) -> CounterSet:
-        """Left-fold every column, matching ``sum(rows, zero())``.
-
-        One stacked ``cumsum`` along the row axis folds all six columns
-        at once; each row of the stack accumulates left to right, so
-        every field matches the scalar accumulation loop bit for bit.
-        """
-        if len(self) == 0:
-            return CounterSet.zero()
-        stacked = np.stack([getattr(self, name) for name in _FIELD_NAMES])
-        folded = np.cumsum(stacked, axis=1)[:, -1]
-        return CounterSet(**dict(zip(_FIELD_NAMES, folded.tolist())))

@@ -286,6 +286,10 @@ class _Handler(BaseHTTPRequestHandler):
             return json.loads(raw)
         except json.JSONDecodeError as exc:
             raise ProtocolError(f"request body is not valid JSON: {exc}") from None
+        except RecursionError:
+            # Deep nesting ("[[[[...") exhausts the decoder's recursion
+            # limit long before the body-size cap.
+            raise ProtocolError("request body is nested too deeply") from None
 
     def _respond(self, status: int, envelope: dict[str, Any]) -> None:
         data = json.dumps(envelope).encode("utf-8")

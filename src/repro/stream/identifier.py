@@ -4,7 +4,9 @@
 a baseline — anything with ``select(frame)``) and drives it over a feed
 of arriving iterations:
 
-1. iterations absorb into a :class:`StreamingSlStatistics`;
+1. iterations absorb into a :class:`StreamingSlStatistics` — columnar
+   chunks once per check window, not once per chunk
+   (:class:`IdentificationSession`);
 2. every ``cadence`` iterations the selector re-runs on the prefix
    (reusing the incremental per-SL group-by; a segment-aware selector
    also resumes its detection and re-selects only the open segment);
@@ -321,11 +323,24 @@ class IdentificationSession:
     off-boundary check and packages a :class:`StreamingRun`.  Driving a
     session chunk-for-chunk is bit-identical to :meth:`StreamingIdentifier.run`
     over the concatenation of the same chunks.
+
+    Columnar chunks are absorbed once per check window, not once per
+    chunk: a :class:`FrameSlice` extends a pending contiguous
+    ``frame[start:stop)`` range, and one
+    :meth:`~repro.stream.stats.StreamingSlStatistics.absorb_frame` call
+    takes the range when it reaches the next check boundary, at
+    :meth:`finish`, before a record chunk, before a slice on another
+    frame or not contiguous with it, and whenever :attr:`stats` is
+    read.  :attr:`iterations_consumed` counts pending iterations.  A
+    non-finite or non-positive time fails the call that absorbs its
+    range, and every later one: the range stays pending.
     """
 
     def __init__(self, identifier: StreamingIdentifier, stats):
         self.identifier = identifier
-        self.stats = stats if stats is not None else StreamingSlStatistics()
+        self._stats = stats if stats is not None else StreamingSlStatistics()
+        #: Fed but not yet absorbed: ``(frame, start, stop)``.
+        self._pending: tuple[Any, int, int] | None = None
         self.checks: list[ConvergenceCheck] = []
         self.last_check_at = 0
         self.stable_run = 0
@@ -336,8 +351,20 @@ class IdentificationSession:
         self.converged = False
 
     @property
+    def stats(self) -> StreamingSlStatistics:
+        """The accumulator, with every fed iteration absorbed."""
+        self._absorb_pending()
+        return self._stats
+
+    def _absorb_pending(self) -> None:
+        if self._pending is not None:
+            self._stats.absorb_frame(*self._pending)
+            self._pending = None
+
+    @property
     def iterations_consumed(self) -> int:
-        return len(self.stats)
+        pending = 0 if self._pending is None else self._pending[2] - self._pending[1]
+        return len(self._stats) + pending
 
     def absorb(self, chunk: Any) -> bool:
         """Absorb one chunk (a :class:`FrameSlice` or record iterable).
@@ -361,18 +388,25 @@ class IdentificationSession:
         land at ``min_iterations`` itself when it is a multiple).
         """
         cadence = self.identifier.cadence
-        boundary = (len(self.stats) // cadence + 1) * cadence
+        boundary = (self.iterations_consumed // cadence + 1) * cadence
         floor = max(self.identifier.min_iterations, 1)
         if boundary < floor:
             boundary = -(-floor // cadence) * cadence
         return boundary
 
     def absorb_slice(self, chunk: FrameSlice) -> bool:
-        """Absorb a columnar chunk, checking at each cadence boundary."""
+        """Take a columnar chunk, checking at each cadence boundary."""
         start = chunk.start
         while start < chunk.stop:
-            stop = min(chunk.stop, start + self._next_boundary() - len(self.stats))
-            self.stats.absorb_frame(chunk.frame, start, stop)
+            stop = min(
+                chunk.stop, start + self._next_boundary() - self.iterations_consumed
+            )
+            pending = self._pending
+            if pending is not None and pending[0] is chunk.frame and pending[2] == start:
+                self._pending = (chunk.frame, pending[1], stop)
+            else:
+                self._absorb_pending()
+                self._pending = (chunk.frame, start, stop)
             start = stop
             if self._maybe_check():
                 return True
@@ -380,14 +414,15 @@ class IdentificationSession:
 
     def absorb_records(self, records) -> bool:
         """Absorb a record chunk, checking at each cadence boundary."""
+        stats = self.stats
         for record in records:
-            self.stats.absorb(record)
+            stats.absorb(record)
             if self._maybe_check():
                 return True
         return False
 
     def _maybe_check(self) -> bool:
-        consumed = len(self.stats)
+        consumed = self.iterations_consumed
         if consumed < max(self.identifier.min_iterations, 1):
             return False
         if consumed % self.identifier.cadence != 0:
@@ -396,10 +431,11 @@ class IdentificationSession:
 
     def _check(self) -> bool:
         identifier = self.identifier
-        consumed = len(self.stats)
+        stats = self.stats
+        consumed = len(stats)
         self.last_check_at = consumed
-        frame = self.stats.frame()
-        self.stats.statistics()  # seed the frame's group-by memo
+        frame = stats.frame()
+        stats.statistics()  # seed the frame's group-by memo
         self.outcome = identifier.selector.select(frame)
         selection, k, projected = _unwrap(self.outcome)
         selected = tuple(
@@ -421,8 +457,8 @@ class IdentificationSession:
         # the stream is segmented, on the whole-prefix mean otherwise.
         stability_mean_s = mean_s if open_mean_s is None else open_mean_s
 
-        means = self.stats.mean_times()
-        counts = self.stats.iteration_counts()
+        means = stats.mean_times()
+        counts = stats.iteration_counts()
         drift_reset = False
         if self.previous is not None:
             if segments_closed or self.previous.segments_closed:
@@ -480,7 +516,8 @@ class IdentificationSession:
         return self.converged
 
     def finish(self) -> StreamingRun:
-        consumed = len(self.stats)
+        stats = self.stats
+        consumed = len(stats)
         if consumed == 0:
             raise ConfigurationError("the feed produced no iterations")
         # A final check when the stream ended between boundaries, so a
@@ -504,7 +541,7 @@ class IdentificationSession:
         else:
             selection, k = self.outcome, None
             projected = project_logged_time(selection)
-            actual = self.stats.frame().total_time_s
+            actual = stats.frame().total_time_s
             error = percent_error(projected, actual)
         return StreamingRun(
             converged=self.converged,
@@ -515,7 +552,7 @@ class IdentificationSession:
             identification_error_pct=error,
             projected_prefix_total_s=projected,
             prefix_total_s=actual,
-            stats=self.stats,
+            stats=stats,
             segments=(
                 self.outcome.segments
                 if isinstance(self.outcome, SegmentedResult)

@@ -218,7 +218,7 @@ class StreamingSlStatistics:
 
         The fast path for replayed traces: columns append as slices and
         each distinct source profile maps through the pool once per
-        chunk instead of once per iteration.
+        chunk instead of once per iteration, in first-appearance order.
         """
         stop = len(frame) if stop is None else stop
         if not 0 <= start <= stop <= len(frame):
@@ -270,17 +270,17 @@ class StreamingSlStatistics:
         self._tgt_len.extend(frame.tgt_len[start:stop])
         self._time_s.extend(time_chunk)
         source_ids = frame.profile_id[start:stop]
-        unique_ids = np.unique(source_ids)
-        mapped = np.fromiter(
-            (
-                self._pool_profile(frame.profiles[pid])
-                for pid in unique_ids.tolist()
-            ),
-            np.int64,
-            unique_ids.size,
-        )
+        unique_ids, first_index = np.unique(source_ids, return_index=True)
+        # Pool in first-appearance order (the dedupe_shapes idiom), as
+        # record-at-a-time absorption does, so the pooled ids and their
+        # order never depend on how the stream was chunked.
+        arrival = unique_ids[np.argsort(first_index, kind="stable")]
         lookup = np.zeros(int(unique_ids[-1]) + 1, dtype=np.int64)
-        lookup[unique_ids] = mapped
+        lookup[arrival] = np.fromiter(
+            (self._pool_profile(frame.profiles[pid]) for pid in arrival.tolist()),
+            np.int64,
+            arrival.size,
+        )
         self._profile_id.extend(lookup[source_ids])
 
     # -- snapshots ----------------------------------------------------

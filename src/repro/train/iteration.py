@@ -15,15 +15,18 @@ Two measurement paths exist:
   on another hardware config is resolved from its skeleton instead of
   lowered again) and times many shapes' plans with a few vectorized
   :meth:`~repro.hw.device.GpuDevice.run_batch` calls
-  (:meth:`IterationExecutor.run_unique`);
+  (:meth:`IterationExecutor.run_unique`), folding each call's
+  measurements into all its plans' results in one pass
+  (:meth:`IterationExecutor._fold`);
 * the **scalar** reference path (``batched=False``) walks the merged
   schedule invocation by invocation, exactly as before the columnar
   refactor.
 
-Both produce bit-identical :class:`IterationResult`\\ s — the batched
-reductions replay the scalar loop's left-to-right accumulation — which
+Both produce bit-identical :class:`IterationResult`\\ s — every batched
+fold is the scalar loop's left-to-right accumulation — which
 tests/test_plan_equivalence.py asserts across models, shapes, hardware
-configurations, and noise seeds.
+configurations, and noise seeds (and tests/test_properties_fold.py
+against an explicit per-plan loop).
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.hw.counters import CounterColumns, CounterSet
-from repro.hw.device import GpuDevice
+from repro.hw.counters import COUNTER_FIELDS, CounterSet
+from repro.hw.device import BatchMeasurement, GpuDevice
 from repro.hw.timing import WorkBatch
 from repro.models.plan import (
     PLAN_CACHE,
@@ -45,7 +48,6 @@ from repro.models.plan import (
 )
 from repro.models.schedule import KernelSchedule
 from repro.models.spec import IterationInputs, Model
-from repro.util.stats import sequential_sum
 
 __all__ = ["IterationExecutor", "IterationResult"]
 
@@ -61,6 +63,31 @@ DEFAULT_HOST_OVERHEAD_S = 25e-3
 #: allocates its temporaries at full size, while a few calls per epoch
 #: already amortise the per-call overhead.
 _MAX_BATCH_ROWS = 2048
+
+
+def _segment_folds(
+    segment: np.ndarray,
+    sizes: np.ndarray,
+    values: np.ndarray,
+    initial: np.ndarray,
+) -> np.ndarray:
+    """Left folds of ``values`` (fields x rows) over row segments.
+
+    Rows are grouped by ``segment`` (ascending; ``sizes[s]`` rows in
+    segment ``s``, possibly none).  Each field's segments fill a
+    zero-padded segments x (max size + 1) matrix, one segment per row
+    with ``initial[field]`` in column 0, and one ``np.cumsum`` along the
+    rows accumulates every segment left to right:
+    ``((initial + v0) + v1) + ...`` read at the segment's last column.
+    The padding is never read.  Returns fields x segments.
+    """
+    starts = np.cumsum(sizes) - sizes
+    position = np.arange(1, segment.size + 1) - starts[segment]
+    cells = np.zeros((len(initial), sizes.size, int(sizes.max(initial=0)) + 1))
+    cells[:, :, 0] = initial[:, None]
+    cells[:, segment, position] = values
+    np.cumsum(cells, axis=2, out=cells)
+    return cells[:, np.arange(sizes.size), sizes]
 
 
 @dataclass(frozen=True)
@@ -136,31 +163,6 @@ class IterationExecutor:
             gemm_shapes=tuple(schedule.gemm_shapes()),
         )
 
-    def _reduce_plan(
-        self,
-        plan: SchedulePlan,
-        time_s: np.ndarray,
-        counters: CounterColumns,
-    ) -> IterationResult:
-        """Fold one plan's per-kernel measurements into a result.
-
-        Every reduction is a left fold in merged-entry order (via
-        :func:`~repro.util.stats.sequential_sum`), replaying the scalar
-        loop's accumulation bit for bit.
-        """
-        contrib = time_s * plan.counts
-        group_times: dict[str, float] = {}
-        for gid, group in enumerate(plan.groups):
-            group_times[group] = sequential_sum(contrib[plan.group_id == gid])
-        return IterationResult(
-            time_s=sequential_sum(contrib, initial=self.host_overhead_s),
-            launches=int(plan.counts.sum()),
-            counters=counters.scaled(plan.counts).sum_sequential(),
-            group_times=group_times,
-            kernel_names=frozenset(plan.names),
-            gemm_shapes=plan.gemm_shapes,
-        )
-
     def _fingerprint(self, inputs: IterationInputs, kind: str) -> dict | None:
         """The cross-process plan-store key of one plan, or ``None``.
 
@@ -230,9 +232,10 @@ class IterationExecutor:
         :meth:`~repro.hw.timing.WorkBatch.concat` up to
         :data:`_MAX_BATCH_ROWS` rows per
         :meth:`~repro.hw.device.GpuDevice.run_batch` call (a larger plan
-        gets a call of its own).  The timing engine is purely row-wise
-        and each reduction folds exactly its plan's rows, so every
-        result is bit-identical to timing its plan alone.
+        gets a call of its own), and each call's measurements are folded
+        once (:meth:`_fold`).  The timing engine is purely row-wise and
+        each fold reads exactly its plan's rows, so every result is
+        bit-identical to timing its plan alone.
         """
         chunks: list[list[SchedulePlan]] = []
         rows = 0
@@ -249,18 +252,65 @@ class IterationExecutor:
                 if len(chunk) == 1
                 else WorkBatch.concat([plan.work for plan in chunk])
             )
-            measurement = self.device.run_batch(work)
-            offset = 0
-            for plan in chunk:
-                upper = offset + len(plan)
-                results.append(
-                    self._reduce_plan(
-                        plan,
-                        measurement.time_s[offset:upper],
-                        measurement.counters.rows(offset, upper),
-                    )
+            results.extend(self._fold(chunk, self.device.run_batch(work)))
+        return results
+
+    def _fold(
+        self, plans: Sequence[SchedulePlan], measurement: BatchMeasurement
+    ) -> list[IterationResult]:
+        """One device call's measurements, folded into one result per plan.
+
+        :func:`_segment_folds` runs every plan's left folds at once, in
+        merged-entry order, so each total is the scalar loop's
+        accumulation bit for bit.  Time (from ``host_overhead_s``) and
+        the six counters (from ``-0.0``, the exact additive identity, so
+        a counter fold starts at its first row) fold per plan; group
+        times fold per (plan, group) from 0.0, after a stable sort that
+        keeps each group's rows in merged order.
+        """
+        count = len(plans)
+        lengths = np.fromiter(map(len, plans), np.int64, count)
+        groups = np.fromiter((len(plan.groups) for plan in plans), np.int64, count)
+        counts = np.concatenate([plan.counts for plan in plans])
+        group_id = np.concatenate([plan.group_id for plan in plans])
+        plan_row = np.repeat(np.arange(count), lengths)
+        columns = [measurement.time_s] + [
+            getattr(measurement.counters, name) for name in COUNTER_FIELDS
+        ]
+        values = np.stack(columns)
+        values *= counts
+        initial = np.full(len(columns), -0.0)
+        initial[0] = self.host_overhead_s
+        totals = _segment_folds(plan_row, lengths, values, initial)
+        times = totals[0].tolist()
+        counters = totals[1:].T.tolist()
+        launches = np.bincount(plan_row, weights=counts, minlength=count).tolist()
+
+        group_base = np.cumsum(groups) - groups
+        segment = group_base[plan_row] + group_id
+        order = np.argsort(segment, kind="stable")
+        segment = segment[order]
+        group_times = _segment_folds(
+            segment,
+            np.bincount(segment, minlength=int(groups.sum())),
+            values[:1, order],
+            np.zeros(1),
+        )[0].tolist()
+
+        results = []
+        for index, (plan, base) in enumerate(zip(plans, group_base.tolist())):
+            results.append(
+                IterationResult(
+                    time_s=times[index],
+                    launches=int(launches[index]),
+                    counters=CounterSet(*counters[index]),
+                    group_times=dict(
+                        zip(plan.groups, group_times[base : base + len(plan.groups)])
+                    ),
+                    kernel_names=frozenset(plan.names),
+                    gemm_shapes=plan.gemm_shapes,
                 )
-                offset = upper
+            )
         return results
 
     def run_unique(

@@ -102,34 +102,3 @@ class TestCounterColumns:
         assert len(columns) == 5
         for i, reference in enumerate(counters):
             assert columns.row(i) == reference
-
-    def test_scaled_matches_rowwise_scaling(self):
-        counters = [_counter(i) for i in range(4)]
-        factors = np.array([1.0, 2.0, 0.5, 4.0])
-        scaled = _columns(counters).scaled(factors)
-        for i, reference in enumerate(counters):
-            assert scaled.row(i) == reference.scaled(float(factors[i]))
-
-    def test_sum_sequential_matches_reference_fold(self):
-        """The exact loop the scalar executor performs: a left fold
-        from ``CounterSet.zero()`` — including awkward magnitudes where
-        pairwise summation would round differently."""
-        rng = np.random.default_rng(42)
-        counters = [
-            CounterSet(
-                **{
-                    name: float(value)
-                    for name, value in zip(
-                        CounterSet().as_dict(), rng.uniform(0, 1e12, 6)
-                    )
-                }
-            )
-            for _ in range(257)
-        ]
-        folded = CounterSet.zero()
-        for item in counters:
-            folded = folded + item
-        assert _columns(counters).sum_sequential() == folded
-
-    def test_sum_sequential_of_empty_is_zero(self):
-        assert _columns([]).sum_sequential() == CounterSet.zero()

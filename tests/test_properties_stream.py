@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis): streaming == batch, any chunking."""
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core.seqpoint import SeqPointSelector
@@ -43,11 +44,18 @@ def trace_and_chunking(draw):
 @settings(max_examples=60)
 def test_streaming_stats_bit_identical_under_any_chunking(case):
     pairs, chunks = case
-    frame = make_trace(pairs).frame()
+    # Reversed, so the frame's profile pool is not in first-appearance
+    # order.
+    frame = make_trace(pairs).frame().take(np.arange(len(pairs))[::-1])
     stats = StreamingSlStatistics.for_frame(frame)
     for start, stop in chunks:
         stats.absorb_frame(frame, start, stop)
     assert stats.statistics() == SlStatistics.from_trace(frame)
+    # Nor do the pooled profile ids and their order depend on chunking.
+    whole = StreamingSlStatistics.for_frame(frame)
+    whole.absorb_frame(frame)
+    assert np.array_equal(stats.frame().profile_id, whole.frame().profile_id)
+    assert stats.frame().profiles == whole.frame().profiles
 
 
 @given(trace_and_chunking())

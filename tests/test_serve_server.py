@@ -605,6 +605,22 @@ class TestHttpTransport:
         assert "limit" in envelope["error"]["message"]
         assert self.call(f"{server.url}/healthz")[0] == 200
 
+    def test_deeply_nested_body_gets_an_envelope(self, server):
+        # 200 KB is far below the body limit, yet 100,000 nested arrays
+        # exhaust the JSON decoder's recursion limit.
+        body = b"[" * 100_000 + b"]" * 100_000
+        status, envelope, _ = self.raw_request(
+            server,
+            b"POST /jobs HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
+            b"Content-Length: %d\r\n\r\n" % len(body) + body,
+        )
+        assert status == 400
+        assert envelope["error"] == {
+            "type": "ProtocolError",
+            "message": "request body is nested too deeply",
+        }
+        assert self.call(f"{server.url}/healthz")[0] == 200
+
     @pytest.mark.skipif(
         not hasattr(socket, "TCP_QUICKACK"), reason="needs TCP_QUICKACK"
     )

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.seqpoint import SeqPointSelector
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TraceError
 from repro.stream import (
     StreamingIdentifier,
     StreamingSlStatistics,
@@ -11,7 +11,7 @@ from repro.stream import (
     replay,
 )
 from repro.stream.feed import FrameSlice
-from tests.conftest import make_trace
+from tests.conftest import make_trace, with_time
 
 #: A perfectly periodic stream: the per-SL means never move, so the
 #: selection stabilises as soon as the window allows.
@@ -358,3 +358,38 @@ class TestIdentificationSession:
         session = StreamingIdentifier(SeqPointSelector()).begin()
         with pytest.raises(ConfigurationError):
             session.finish()
+
+    def test_slices_absorb_once_per_check_window(self, monkeypatch):
+        frame = periodic_trace(10).frame()
+        calls = []
+        original = StreamingSlStatistics.absorb_frame
+
+        def counted(stats, source, start, stop):
+            calls.append((start, stop))
+            original(stats, source, start, stop)
+
+        monkeypatch.setattr(StreamingSlStatistics, "absorb_frame", counted)
+        identifier = StreamingIdentifier(SeqPointSelector(), cadence=16, patience=99)
+        session = identifier.begin(StreamingSlStatistics.for_frame(frame))
+        for chunk in replay(frame, chunk_size=3):
+            session.absorb(chunk)
+        assert calls == [(0, 16), (16, 32)]
+        assert session.iterations_consumed == len(frame) == 40
+        run = session.finish()
+        assert calls[-1] == (32, 40)
+        assert run.iterations_consumed == 40
+
+    def test_bad_time_fails_where_its_window_is_absorbed(self):
+        frame = with_time(periodic_trace(4).frame(), 5, float("nan"))
+        identifier = StreamingIdentifier(SeqPointSelector(), cadence=4, patience=99)
+        session = identifier.begin(StreamingSlStatistics.for_frame(frame))
+        session.absorb(FrameSlice(frame, 0, 3))
+        session.absorb(FrameSlice(frame, 3, 6))  # absorbs [0, 4) at the check
+        assert session.iterations_consumed == 6
+        with pytest.raises(TraceError, match=r"^iteration 5: non-finite time nan$"):
+            session.absorb(FrameSlice(frame, 6, 9))
+        # The window stays pending, so the stream cannot go on past it.
+        assert session.iterations_consumed == 8
+        with pytest.raises(TraceError, match=r"^iteration 5: "):
+            session.finish()
+        assert len(session.checks) == 1
