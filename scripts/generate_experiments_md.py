@@ -3,9 +3,10 @@
 Usage:  python scripts/generate_experiments_md.py [scale]
 
 With the default scale of 1.0 this simulates the paper-sized corpora on
-all five hardware configurations (a few minutes) and rewrites
-EXPERIMENTS.md with the measured tables plus the paper-vs-measured
-summary.
+all five hardware configurations (under ten seconds on a 2-CPU host)
+and rewrites EXPERIMENTS.md with the measured tables plus the
+paper-vs-measured summary.  The output is deterministic: CI regenerates
+it and fails if the committed file differs.
 """
 
 from __future__ import annotations
@@ -24,10 +25,11 @@ _PREAMBLE = """\
 # EXPERIMENTS — paper vs. measured
 
 Generated by `python scripts/generate_experiments_md.py` at corpus scale
-{scale}.  The substrate is the analytical GPU model described in
-DESIGN.md §2, so the comparison targets *shapes* — who wins, rough
-factors, where crossovers fall — not the authors' absolute numbers.
-All runs are deterministic (seeded corpora, seeded measurement noise).
+{scale}.  The substrate is the analytical GPU model in `src/repro/hw/`
+(the README's "Architecture" section follows a kernel into it), so the
+comparison targets *shapes* — who wins, rough factors, where crossovers
+fall — not the authors' absolute numbers.  All runs are deterministic
+(seeded corpora, seeded measurement noise).
 
 ## Headline comparison
 

@@ -17,7 +17,10 @@ cold load is an mmap plus dtype views — concurrent sweep workers and
 serve sessions reading one entry share page cache instead of each
 parsing a private copy, and byte accounting uses the real file size.
 Cache directories written before the binary format (v2/v1 JSON
-artefacts) load transparently; new writes are always binary.
+artefacts) load transparently; new writes are always binary.  A
+malformed artefact (a torn or emptied file) is a miss: under the key's
+file lock ``get_or_compute`` renames it to ``{key}.npt.corrupt`` and
+simulates again, so one bad file never poisons its key.
 
 Hit/miss counters make the reuse measurable (see
 ``benchmarks/bench_api_cache.py``); per-key locks make concurrent
@@ -58,14 +61,20 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any
 
+from repro.train.frame import TraceFrame
 from repro.train.trace import TrainingTrace
 from repro.util.filelock import file_lock
+from repro.util.npt import CORRUPT_ERRORS, quarantine
 
 __all__ = ["TraceCache", "trace_nbytes"]
 
 #: Flat per-profile estimate: pooled profiles carry a CounterSet, a
 #: group-times dict, and a kernel-name set — small next to the columns.
 _PROFILE_NBYTES = 512
+
+
+def _load_binary(path: Path) -> TrainingTrace:
+    return TrainingTrace.from_frame(TraceFrame.load_npt(path))
 
 
 def trace_nbytes(trace: TrainingTrace) -> int:
@@ -174,26 +183,41 @@ class TraceCache:
     def get(self, key: str) -> TrainingTrace | None:
         """Look ``key`` up (memory, then disk), counting the outcome.
 
-        The disk tier prefers the binary ``.npt`` artefact (mmap +
-        views) and falls back to legacy JSON; cold-load latency is
-        recorded per format for :meth:`storage_stats`.
+        The disk tier reads the binary ``.npt`` artefact as binary only
+        (mmap + views) and falls back to legacy JSON; cold-load latency
+        is recorded per format for :meth:`storage_stats`.  A malformed
+        artefact counts as a miss.
         """
+        return self._get(key, quarantine_corrupt=False)
+
+    def _get(self, key: str, quarantine_corrupt: bool) -> TrainingTrace | None:
         with self._lock:
             entry = self._memory.get(key)
             if entry is not None:
                 self._memory.move_to_end(key)
                 self.hits += 1
                 return entry[0]
-        for path, fmt in ((self._npt_path(key), "binary"), (self._path(key), "json")):
-            if path is not None and path.exists():
-                started = time.perf_counter()
-                trace = TrainingTrace.load(path)
-                elapsed = time.perf_counter() - started
-                with self._lock:
-                    self._admit(key, trace)
-                    self._record_load(fmt, elapsed)
-                    self.hits += 1
-                return trace
+        for path, fmt, load in (
+            (self._npt_path(key), "binary", _load_binary),
+            (self._path(key), "json", TrainingTrace.load),
+        ):
+            if path is None:
+                continue
+            started = time.perf_counter()
+            try:
+                trace = load(path)
+            except FileNotFoundError:
+                continue
+            except CORRUPT_ERRORS:
+                if quarantine_corrupt:
+                    quarantine(path)
+                continue
+            elapsed = time.perf_counter() - started
+            with self._lock:
+                self._admit(key, trace)
+                self._record_load(fmt, elapsed)
+                self.hits += 1
+            return trace
         with self._lock:
             self.misses += 1
         return None
@@ -226,7 +250,10 @@ class TraceCache:
         Concurrent callers with the same key serialise on a per-key
         lock — threads on an in-process lock, processes (for disk-backed
         caches) on an advisory file lock — so the expensive simulation
-        runs exactly once; every other caller observes a hit.
+        runs exactly once; every other caller observes a hit.  A
+        malformed artefact found under the lock is renamed to
+        ``{key}.npt.corrupt`` (or ``{key}.json.corrupt``) and the trace
+        computed again.
         """
         with self._lock:
             # Memory hits skip the locks entirely: entries are immutable
@@ -239,7 +266,7 @@ class TraceCache:
                 return entry[0]
             key_lock = self._key_locks.setdefault(key, threading.Lock())
         with key_lock, self._file_lock(key):
-            trace = self.get(key)
+            trace = self._get(key, quarantine_corrupt=True)
             if trace is None:
                 trace = compute()
                 self.put(key, trace)

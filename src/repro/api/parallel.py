@@ -6,10 +6,9 @@ seed, and selector (the paper's target-count and hardware-speedup
 axes).  :class:`SweepSpec` describes such a grid declaratively (and
 JSON round-trips, like :class:`~repro.api.spec.AnalysisSpec`);
 :func:`plan_sweep` expands it and deduplicates the underlying
-simulation work; :func:`run_sweep` executes the plan serially, on a
-thread pool, or — the headline mode — on a
-:class:`~concurrent.futures.ProcessPoolExecutor` so the numpy-heavy
-selection and projection work escapes the GIL.
+simulation work; :func:`run_sweep` executes the plan serially or — the
+headline mode — on a :class:`~concurrent.futures.ProcessPoolExecutor`
+so the numpy-heavy selection and projection work escapes the GIL.
 
 The process protocol is deliberately narrow: workers receive only
 serialized specs (``to_dict`` payloads) and share simulated epochs
@@ -37,7 +36,7 @@ import multiprocessing
 import os
 import tempfile
 from collections.abc import Mapping
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
@@ -57,7 +56,7 @@ from repro.models.plan import PLAN_CACHE, PlanStore
 __all__ = ["SweepSpec", "SweepPlan", "SweepRun", "plan_sweep", "run_sweep", "SWEEP_MODES"]
 
 #: Execution modes :func:`run_sweep` accepts.
-SWEEP_MODES = ("serial", "thread", "process")
+SWEEP_MODES = ("serial", "process")
 
 
 def _axis(name: str, value: Any, convert) -> tuple:
@@ -353,26 +352,25 @@ def run_sweep(
 
     ``mode`` picks the executor: ``"process"`` (the default) fans
     analyses out to worker processes communicating through a shared
-    on-disk trace cache; ``"thread"`` uses the engine's thread pool;
-    ``"serial"`` loops in-process.  All three produce bit-identical
-    results.
+    on-disk trace cache; ``"serial"`` loops in-process.  Both produce
+    bit-identical results.
 
-    ``engine`` supplies the cache and noise model for the serial and
-    thread modes (a fresh engine over ``cache_dir`` otherwise); in
-    process mode the engine's *disk* directory is shared with workers,
-    and a memory-only engine falls back to ``cache_dir`` or a
-    per-sweep temporary directory.
+    ``engine`` supplies the cache and noise model for serial mode (a
+    fresh engine over ``cache_dir`` otherwise); in process mode the
+    engine's *disk* directory is shared with workers, and a memory-only
+    engine falls back to ``cache_dir`` or a per-sweep temporary
+    directory.
 
     Process workers are spawned interpreters that re-import the
     package, so they only see components registered at import time;
     sweeps over models/selectors registered dynamically at runtime
-    must use ``mode="thread"`` or ``"serial"``.
+    must use ``mode="serial"``.
 
     ``plan_store_dir``, when given, names a shared on-disk
-    :class:`~repro.models.plan.PlanStore`: every worker (or, in
-    serial/thread modes, the in-process plan cache for the duration of
-    the sweep) resolves plan-cache misses through it, so each unique
-    lowering happens once per machine rather than once per process.
+    :class:`~repro.models.plan.PlanStore`: every worker (or, in serial
+    mode, the in-process plan cache for the duration of the sweep)
+    resolves plan-cache misses through it, so each unique lowering
+    happens once per machine rather than once per process.
     """
     if mode not in SWEEP_MODES:
         raise ConfigurationError(
@@ -417,17 +415,9 @@ def run_sweep(
             else None
         )
         try:
-            if mode == "thread":
-                pool_size = min(workers, len(plan.simulations)) or 1
-                with ThreadPoolExecutor(max_workers=pool_size) as pool:
-                    list(pool.map(engine.trace_for, plan.simulations))
-                results = tuple(
-                    engine.run_many(list(plan.points), plan.projection, max_workers=workers)
-                )
-            else:
-                for simulation in plan.simulations:
-                    engine.trace_for(simulation)
-                results = tuple(engine.run(point, plan.projection) for point in plan.points)
+            for simulation in plan.simulations:
+                engine.trace_for(simulation)
+            results = tuple(engine.run(point, plan.projection) for point in plan.points)
         finally:
             if plan_store_dir is not None:
                 PLAN_CACHE.attach_store(previous)

@@ -264,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--mode", choices=SWEEP_MODES, default="process",
-        help="executor: process (default), thread, or serial",
+        help="executor: process (default) or serial",
     )
     sweep.add_argument(
         "--cache-dir", default=None, metavar="DIR",

@@ -1,7 +1,8 @@
 """Design-choice ablation: equal-width vs equal-mass SL bins.
 
-DESIGN.md §5 flags the paper's equal-width contiguous binning as a
-choice worth ablating: equal-mass (quantile) bins put the same number
+The paper's equal-width contiguous binning (the "bin the unique SLs"
+step of the mechanism summarised at the top of the README) is a choice
+worth ablating: equal-mass (quantile) bins put the same number
 of iterations in every bin at the cost of wider bins in sparse SL
 regions.  Both feed the same representative selection and weighting.
 """

@@ -13,7 +13,8 @@ and latency overheads) that produces, for every kernel invocation:
   fetch/write traffic, memory write stalls).
 
 That is exactly the surface SeqPoint consumes, which is why this
-substitution preserves the paper's behaviour (see DESIGN.md §2).
+substitution preserves the paper's behaviour (the README's
+"Architecture" section traces a kernel from lowering to this model).
 """
 
 from repro.hw.config import (

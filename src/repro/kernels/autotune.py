@@ -13,18 +13,18 @@ that cost to the first epoch and the SeqPoint pipeline ignores it, as
 the paper prescribes (Key point: autotune runs once, so representative
 runs exclude it).
 
-``batched=True`` charges through the vectorized candidate race
+A charge reads the shape's row of the candidate race
 (:func:`repro.kernels.gemm.candidate_times`) instead of materialising
-and timing each candidate invocation in Python; the accumulated cost is
-bit-identical (the race rows are bit-identical per candidate and the
-reduction replays the reference loop's left-to-right accumulation).
+and timing each candidate invocation, and sums the pruned candidates
+left to right.  The cost is bit-identical to that per-candidate loop,
+which ``tests/reference.py`` keeps and tests/test_plan_equivalence.py
+compares against.
 """
 
 from __future__ import annotations
 
 from repro.hw.config import HardwareConfig
-from repro.hw.timing import time_work
-from repro.kernels.gemm import GEMM_VARIANTS, build_gemm, candidate_times
+from repro.kernels.gemm import GEMM_VARIANTS, candidate_times
 from repro.util.stats import sequential_sum
 
 __all__ = ["Autotuner"]
@@ -46,21 +46,11 @@ def _candidate_indices(m: int, n: int) -> list[int]:
     return feasible or [len(GEMM_VARIANTS) - 1]
 
 
-def _candidate_variants(m: int, n: int):
-    """Variants a library would actually try for this shape.
-
-    Derived from :func:`_candidate_indices` so the scalar and batched
-    autotune paths can never disagree on the pruning rule.
-    """
-    return [GEMM_VARIANTS[index] for index in _candidate_indices(m, n)]
-
-
 class Autotuner:
     """Tracks which GEMM shapes have been tuned on one device config."""
 
-    def __init__(self, config: HardwareConfig, batched: bool = False):
+    def __init__(self, config: HardwareConfig):
         self._config = config
-        self._batched = batched
         self._tuned: set[tuple[int, int, int]] = set()
         self._total_cost_s = 0.0
 
@@ -79,25 +69,13 @@ class Autotuner:
         if shape in self._tuned:
             return 0.0
         self._tuned.add(shape)
-        if self._batched:
-            cost = self._charge_batched(m, n, k)
-        else:
-            cost = self._charge_reference(m, n, k)
+        cost = self._charge_batched(m, n, k)
         self._total_cost_s += cost
         return cost
 
-    def _charge_reference(self, m: int, n: int, k: int) -> float:
-        """The scalar candidate loop — the bit-identity reference."""
-        cost = 0.0
-        for variant in _candidate_variants(m, n):
-            candidate = build_gemm(variant, m, n, k)
-            elapsed, _, _ = time_work(candidate.work, self._config)
-            cost += elapsed * _TRIALS_PER_VARIANT
-        return cost
-
     def _charge_batched(self, m: int, n: int, k: int) -> float:
-        """Vectorized charge: one race over all variants, then the
-        pruned subset accumulated in reference (left-to-right) order."""
+        """One race over all variants, then the pruned subset
+        accumulated left to right."""
         times = candidate_times(m, n, k, self._config)
         return sequential_sum(times[_candidate_indices(m, n)] * _TRIALS_PER_VARIANT)
 

@@ -29,7 +29,6 @@ from repro.hw.config import HardwareConfig
 from repro.hw.timing import (
     _INFLIGHT_BYTES_PER_WAVE,
     WorkBatch,
-    time_work,
     time_work_batch,
 )
 from repro.kernels.base import FLOAT_BYTES, KernelInvocation, make_invocation
@@ -448,26 +447,12 @@ def candidate_times_many(dims, config: HardwareConfig) -> np.ndarray:
     return table[inverse]
 
 
-def _select_reference(m: int, n: int, k: int, config: HardwareConfig) -> GemmVariant:
-    """The pre-vectorized selection loop, kept as the bit-identity
-    reference for :func:`_select` (tests assert they agree)."""
-    best: GemmVariant | None = None
-    best_time = math.inf
-    for variant in GEMM_VARIANTS:
-        candidate = build_gemm(variant, m, n, k)
-        elapsed, _, _ = time_work(candidate.work, config)
-        if elapsed < best_time:
-            best, best_time = variant, elapsed
-    assert best is not None  # GEMM_VARIANTS is non-empty
-    return best
-
-
 @lru_cache(maxsize=65536)
 def _select(m: int, n: int, k: int, config: HardwareConfig) -> GemmVariant:
     """Pick the fastest variant for this shape on ``config``.
 
-    ``np.argmin`` returns the first minimum, matching the reference
-    loop's strict ``<`` (keep the earliest winner on ties).
+    ``np.argmin`` returns the first minimum: on a tie the earlier
+    variant wins, as a strict ``<`` scan over the variants would pick.
     """
     return GEMM_VARIANTS[int(np.argmin(candidate_times(m, n, k, config)))]
 

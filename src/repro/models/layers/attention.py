@@ -31,8 +31,8 @@ class AttentionLayer(Layer):
         self.hidden = hidden
         # Thread-local: the bound length is per-iteration scratch state,
         # and models are shared across an engine's runners — concurrent
-        # lowering of different configs (run_many, sweep thread mode)
-        # must not see each other's bindings.
+        # lowering of different configs (run_many, serve worker
+        # threads) must not see each other's bindings.
         self._source = threading.local()
 
     def bind_source(self, src_steps: int) -> None:

@@ -19,10 +19,11 @@ same information compiled once into parallel numpy columns:
 * the plan's config-free skeleton: which merged rows are GEMMs, and
   their ``(m, n, k)``.
 
-Plans are frozen; the batched executor times them with
+Plans are frozen; the executor times them with
 :meth:`~repro.hw.device.GpuDevice.run_batch` and reduces with the same
-left-to-right accumulation the scalar reference loop performs, so
-results are bit-identical (asserted in tests/test_plan_equivalence.py).
+left-to-right accumulation as the per-invocation loop in
+``tests/reference.py``, so results are bit-identical (asserted in
+tests/test_plan_equivalence.py).
 
 :class:`PlanCache` is the process-wide store keyed by
 ``(model plan key, pass kind, batch, seq_len, tgt_len, hardware
@@ -53,12 +54,13 @@ from typing import Any
 
 import numpy as np
 
+from repro.errors import StorageError
 from repro.hw.config import HardwareConfig
 from repro.hw.timing import WorkBatch
 from repro.kernels.gemm import candidate_times_many, gemm_work, race_exact
 from repro.models.schedule import KernelSchedule
 from repro.util.filelock import file_lock
-from repro.util.npt import ColumnStore, write_columns
+from repro.util.npt import CORRUPT_ERRORS, ColumnStore, quarantine, write_columns
 
 __all__ = [
     "SchedulePlan",
@@ -309,6 +311,11 @@ def _plan_from_store(store: ColumnStore) -> SchedulePlan:
     mapping; the timing engine only reads them, so mmap-backed plans
     time bit-identically to freshly compiled ones.
     """
+    if store.schema != PLAN_SCHEMA:
+        raise StorageError(
+            f"{store.path}: unknown plan schema {store.schema!r}; "
+            f"expected {PLAN_SCHEMA!r}"
+        )
     return SchedulePlan(
         work=WorkBatch(**{name: store.column(name) for name in _WORK_COLUMNS}),
         counts=store.column("counts"),
@@ -360,14 +367,21 @@ class PlanStore:
         The whole miss runs under the per-key file lock, so concurrent
         processes racing on one fingerprint produce exactly one
         lowering — the loser blocks, then loads the winner's artefact.
+        A malformed artefact (torn, emptied, foreign) is renamed to
+        ``{key}.npt.corrupt`` and the plan built again.
         """
         key = self.key_for(fingerprint)
         path = self._path(key)
         with file_lock(self.directory, key):
             if path.exists():
-                with self._lock:
-                    self.hits += 1
-                return _plan_from_store(ColumnStore(path))
+                try:
+                    plan = _plan_from_store(ColumnStore(path))
+                except CORRUPT_ERRORS:
+                    quarantine(path)
+                else:
+                    with self._lock:
+                        self.hits += 1
+                    return plan
             plan = build()
             meta, columns = _plan_columns(plan)
             staging = path.with_name(f"{path.name}.{os.getpid()}.tmp")

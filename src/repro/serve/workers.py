@@ -135,10 +135,6 @@ class WorkerPool:
 
     def _run_sweep(self, job: Job, request: JobRequest) -> SweepRun:
         mode = request.mode or self.sweep_mode
-        if mode == "thread":
-            # Accepted on the wire for parity with the CLI, but the
-            # service's in-thread executor IS a thread pool already.
-            mode = "serial"
         if mode == "process":
             return self._run_sweep_process(job, request)
         return self._run_sweep_serial(job, request)

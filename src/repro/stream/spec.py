@@ -20,8 +20,68 @@ from repro.errors import ConfigurationError
 __all__ = ["StreamSpec"]
 
 
+class IdentifierKnobs:
+    """The streaming-identifier fields a spec carries, defined once.
+
+    Mixed into :class:`StreamSpec` and
+    :class:`~repro.traffic.spec.TrafficSpec`, which each declare
+    ``cadence``, ``patience``, ``rtol``, ``drift_rtol``, ``sl_rtol``
+    and ``min_iterations`` with their own defaults.
+    """
+
+    def _validate_identifier_knobs(self) -> None:
+        """Check the knobs and coerce the tolerances to float, in place."""
+        for name in ("cadence", "patience", "min_iterations"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigurationError(
+                    f"{name} must be an int, got {value!r}"
+                )
+        if self.cadence < 1:
+            raise ConfigurationError(f"cadence must be >= 1, got {self.cadence}")
+        if self.patience < 1:
+            raise ConfigurationError(
+                f"patience must be >= 1, got {self.patience}"
+            )
+        if self.min_iterations < 0:
+            raise ConfigurationError(
+                f"min_iterations cannot be negative, got {self.min_iterations}"
+            )
+        for name in ("rtol", "drift_rtol", "sl_rtol"):
+            try:
+                object.__setattr__(self, name, float(getattr(self, name)))
+            except (TypeError, ValueError):
+                raise ConfigurationError(
+                    f"{name} must be numeric, got {getattr(self, name)!r}"
+                ) from None
+        if not self.rtol > 0:
+            raise ConfigurationError(f"rtol must be positive, got {self.rtol}")
+        if not self.drift_rtol > 0:
+            raise ConfigurationError(
+                f"drift_rtol must be positive, got {self.drift_rtol}"
+            )
+        if self.sl_rtol < 0:
+            raise ConfigurationError(
+                f"sl_rtol cannot be negative, got {self.sl_rtol}"
+            )
+
+    def build_identifier(self) -> Any:
+        """Instantiate the convergence loop this spec describes."""
+        from repro.stream.identifier import StreamingIdentifier
+
+        return StreamingIdentifier(
+            selector=self.analysis.build_selector(),
+            cadence=self.cadence,
+            patience=self.patience,
+            rtol=self.rtol,
+            drift_rtol=self.drift_rtol,
+            sl_rtol=self.sl_rtol,
+            min_iterations=self.min_iterations,
+        )
+
+
 @dataclass(frozen=True)
-class StreamSpec(SpecBase):
+class StreamSpec(SpecBase, IdentifierKnobs):
     """One online identification, declaratively.
 
     ``analysis`` names the scenario and selector; the remaining fields
@@ -57,59 +117,15 @@ class StreamSpec(SpecBase):
                 f"analysis must be an AnalysisSpec (or its dict form), "
                 f"got {self.analysis!r}"
             )
-        for name in ("cadence", "patience", "chunk_size", "min_iterations"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigurationError(
-                    f"{name} must be an int, got {value!r}"
-                )
-        if self.cadence < 1:
-            raise ConfigurationError(f"cadence must be >= 1, got {self.cadence}")
-        if self.patience < 1:
+        self._validate_identifier_knobs()
+        if not isinstance(self.chunk_size, int) or isinstance(self.chunk_size, bool):
             raise ConfigurationError(
-                f"patience must be >= 1, got {self.patience}"
+                f"chunk_size must be an int, got {self.chunk_size!r}"
             )
         if self.chunk_size < 1:
             raise ConfigurationError(
                 f"chunk_size must be >= 1, got {self.chunk_size}"
             )
-        if self.min_iterations < 0:
-            raise ConfigurationError(
-                f"min_iterations cannot be negative, got {self.min_iterations}"
-            )
-        try:
-            object.__setattr__(self, "rtol", float(self.rtol))
-            object.__setattr__(self, "drift_rtol", float(self.drift_rtol))
-            object.__setattr__(self, "sl_rtol", float(self.sl_rtol))
-        except (TypeError, ValueError):
-            raise ConfigurationError(
-                f"rtol/drift_rtol/sl_rtol must be numeric, got {self.rtol!r}/"
-                f"{self.drift_rtol!r}/{self.sl_rtol!r}"
-            ) from None
-        if not self.rtol > 0:
-            raise ConfigurationError(f"rtol must be positive, got {self.rtol}")
-        if not self.drift_rtol > 0:
-            raise ConfigurationError(
-                f"drift_rtol must be positive, got {self.drift_rtol}"
-            )
-        if self.sl_rtol < 0:
-            raise ConfigurationError(
-                f"sl_rtol cannot be negative, got {self.sl_rtol}"
-            )
-
-    def build_identifier(self) -> Any:
-        """Instantiate the convergence loop this spec describes."""
-        from repro.stream.identifier import StreamingIdentifier
-
-        return StreamingIdentifier(
-            selector=self.analysis.build_selector(),
-            cadence=self.cadence,
-            patience=self.patience,
-            rtol=self.rtol,
-            drift_rtol=self.drift_rtol,
-            sl_rtol=self.sl_rtol,
-            min_iterations=self.min_iterations,
-        )
 
     def to_dict(self) -> dict[str, Any]:
         return {

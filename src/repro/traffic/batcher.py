@@ -17,6 +17,12 @@ a batch may form.  Two triggers close a batch:
 Formation is a pure function of arrivals and lengths — no randomness —
 so a seeded arrival process plus any policy yields a bit-deterministic
 batch sequence (a property test asserts this).
+
+:func:`form_batches` computes every flush point and batch as arrays.
+The arrival-by-arrival event loop it replaced is kept as test code
+(``tests/reference.py``); tests/test_properties_traffic.py checks that
+both form bit-identical batches across policies × arrival processes ×
+seeds.
 """
 
 from __future__ import annotations
@@ -65,14 +71,14 @@ class FormedBatch:
 
 @dataclass(frozen=True)
 class BatchColumns:
-    """Columnar twin of a formed-batch list.
+    """Columnar form of a formed-batch list.
 
-    The vectorized formation path computes every per-batch quantity as
-    an array before materialising :class:`FormedBatch` objects; keeping
-    those arrays lets the serving fast path stay columnar end to end
-    instead of re-gathering fields batch by batch.  ``members`` is the
-    full request permutation in batch order; batch ``b`` owns
-    ``members[starts[b]:starts[b] + sizes[b]]``.
+    Formation computes every per-batch quantity as an array before
+    materialising :class:`FormedBatch` objects; keeping those arrays
+    lets :meth:`~repro.traffic.simulator.TrafficSimulator.serve` stay
+    columnar end to end instead of re-gathering fields batch by batch.
+    ``members`` is the full request permutation in batch order; batch
+    ``b`` owns ``members[starts[b]:starts[b] + sizes[b]]``.
     """
 
     form_s: np.ndarray
@@ -115,15 +121,20 @@ def form_batches(
     tgt_len: np.ndarray,
     policy: BatchingPolicy,
     max_wait_s: float,
-    vectorized: bool = True,
-) -> list[FormedBatch]:
+) -> FormedBatchList:
     """Form serving batches from an arrival-ordered request stream.
 
-    ``vectorized`` picks between two bit-identical implementations: the
-    default columnar one (precomputed flush points, one global stable
-    sort) and the scalar event loop the columnar path is asserted
-    against (property tests sweep policies × arrival processes ×
-    seeds).
+    Flush pools are contiguous arrival ranges, so the arrival/deadline
+    event loop collapses to: from pool start ``s``, the deadline break
+    is the first request arriving strictly after
+    ``arrival[s] + max_wait`` (one ``searchsorted`` over precomputed
+    deadlines); the capacity trigger wins iff the pool fills before
+    that break, flushing at the capacity-filling arrival, else the
+    whole range flushes at the deadline (end-of-stream included — same
+    formula).  Within-pool ordering is one global stable lexsort (pool
+    id major, seq_len minor) instead of one argsort per flush; per-batch
+    padded maxima come from ``np.maximum.reduceat``.  An empty stream
+    forms no batches.
     """
     if not max_wait_s > 0.0:
         raise ConfigurationError(
@@ -139,91 +150,11 @@ def form_batches(
         )
     if arrival_s.size and np.any(np.diff(arrival_s) < 0):
         raise ConfigurationError("arrival times must be non-decreasing")
-    if vectorized:
-        return _form_batches_columnar(
-            arrival_s, seq_len, tgt_len, policy, max_wait_s
-        )
-    return _form_batches_scalar(
-        arrival_s, seq_len, tgt_len, policy, max_wait_s
-    )
-
-
-def _form_batches_scalar(
-    arrival_s: np.ndarray,
-    seq_len: np.ndarray,
-    tgt_len: np.ndarray,
-    policy: BatchingPolicy,
-    max_wait_s: float,
-) -> list[FormedBatch]:
-    """Reference event loop: one pass, one decision per request."""
-    bucketed, capacity = _policy_queue(policy)
-    batch_size = policy.batch_size
-    batches: list[FormedBatch] = []
-    waiting: list[int] = []  # request indices, arrival order
-
-    def flush(now: float) -> None:
-        """Close everything waiting into consecutive batches at ``now``."""
-        pool = np.asarray(waiting, dtype=np.int64)
-        if bucketed:
-            pool = pool[np.argsort(seq_len[pool], kind="stable")]
-        for lo in range(0, pool.size, batch_size):
-            members = pool[lo:lo + batch_size]
-            tgt_max = int(tgt_len[members].max())
-            batches.append(
-                FormedBatch(
-                    form_time_s=now,
-                    members=members,
-                    seq_len=policy._pad(int(seq_len[members].max())),
-                    tgt_len=(
-                        NO_TGT if tgt_max == NO_TGT
-                        else policy._pad(tgt_max)
-                    ),
-                )
-            )
-        waiting.clear()
-
-    for index in range(arrival_s.size):
-        now = float(arrival_s[index])
-        if waiting and arrival_s[waiting[0]] + max_wait_s < now:
-            flush(float(arrival_s[waiting[0]]) + max_wait_s)
-        waiting.append(index)
-        if capacity is not None and len(waiting) >= capacity:
-            flush(now)
-    if waiting:
-        # Stream exhausted: the remainder goes out when the oldest
-        # waiting request's deadline expires (never before it arrived —
-        # the arrival loop guarantees every member predates this).
-        flush(float(arrival_s[waiting[0]]) + max_wait_s)
-    return batches
-
-
-def _form_batches_columnar(
-    arrival_s: np.ndarray,
-    seq_len: np.ndarray,
-    tgt_len: np.ndarray,
-    policy: BatchingPolicy,
-    max_wait_s: float,
-) -> list[FormedBatch]:
-    """Columnar formation, bit-identical to the scalar event loop.
-
-    Flush pools are contiguous arrival ranges, so the event loop
-    collapses to: from pool start ``s``, the deadline break is the
-    first request arriving strictly after ``arrival[s] + max_wait``
-    (one ``searchsorted`` over precomputed deadlines); the capacity
-    trigger wins iff the pool fills before that break, flushing at the
-    capacity-filling arrival, else the whole range flushes at the
-    deadline (end-of-stream included — same formula).  Within-pool
-    ordering is one global stable lexsort (pool id major, seq_len
-    minor) instead of one argsort per flush; per-batch padded maxima
-    come from ``np.maximum.reduceat``.
-    """
     total = int(arrival_s.size)
-    if total == 0:
-        return []
     bucketed, capacity = _policy_queue(policy)
     batch_size = policy.batch_size
-    # Per-request deadline, computed with the same float add the scalar
-    # loop performs; breaks[s] = first index arriving strictly later.
+    # Per-request deadline; breaks[s] = first index arriving strictly
+    # later.
     deadline = arrival_s + max_wait_s
     breaks = np.searchsorted(arrival_s, deadline, side="right")
 
@@ -297,7 +228,7 @@ class DynamicBatcher:
         arrival_s: np.ndarray,
         seq_len: np.ndarray,
         tgt_len: np.ndarray,
-    ) -> list[FormedBatch]:
+    ) -> FormedBatchList:
         return form_batches(
             arrival_s, seq_len, tgt_len, self.policy, self.max_wait_s
         )

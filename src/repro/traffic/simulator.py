@@ -1,12 +1,11 @@
 """The serving loop: formed batches through the batched device pipeline.
 
 Each :class:`~repro.traffic.batcher.FormedBatch` is timed with one
-forward pass through the PR 4 batched lowering→timing pipeline
+forward pass through the batched lowering→timing pipeline
 (:class:`~repro.train.iteration.IterationExecutor`, i.e. the
 process-wide ``PlanCache`` plus vectorized
 :meth:`~repro.hw.device.GpuDevice.run_batch` timing of every unique
-shape),
-then queued on a single-device FIFO: a batch starts at
+shape), then queued on a single-device FIFO: a batch starts at
 ``max(form_time, device_free)`` and occupies the device for its
 measured forward latency.  The result is
 
@@ -18,17 +17,16 @@ measured forward latency.  The result is
   SLO-style p50/p95/p99 through the
   :class:`~repro.util.histogram.LatencyHistogram` machinery.
 
-Two serve paths exist, mirroring the executor's batched/scalar split:
-the default **memoized** path groups batches by unique
-``(len(batch), seq_len, tgt_len)`` shape, times each unique shape
-exactly once (all of them through one
+A serve groups batches by unique ``(len(batch), seq_len, tgt_len)``
+shape, times each unique shape exactly once (all of them through one
 :meth:`~repro.train.iteration.IterationExecutor.run_unique` call),
 scatters times and profile ids back by group index, and replays the
-device FIFO as a vectorized prefix recurrence; the
-**scalar** reference path (``memoized=False``) walks batch by batch,
-exactly as before.  Both produce bit-identical :class:`ServedTraffic`
-values — asserted every bench trial and property-tested across
-policies × arrival processes × seeds × drift schedules.
+device FIFO as a vectorized prefix recurrence (:func:`_fifo_prefix`).
+The per-batch walk it replaced (one forward pass and one FIFO step per
+batch) is kept as test code (``tests/reference.py``);
+tests/test_properties_traffic.py checks that both give bit-identical
+:class:`ServedTraffic` values across policies × arrival processes ×
+seeds × drift schedules.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ import numpy as np
 from repro.data.batching import BatchingPolicy
 from repro.hw.device import GpuDevice
 from repro.models.spec import IterationInputs, Model
-from repro.traffic.batcher import FormedBatch
+from repro.traffic.batcher import FormedBatch, FormedBatchList
 from repro.traffic.workload import RequestSet
 from repro.train.frame import NO_TGT, IterationProfile, TraceFrame
 from repro.train.inference import DEFAULT_SERVING_OVERHEAD_S
@@ -180,17 +178,12 @@ class TrafficSimulator:
         policy: BatchingPolicy,
         device: GpuDevice,
         host_overhead_s: float = DEFAULT_SERVING_OVERHEAD_S,
-        batched: bool = True,
-        memoized: bool = True,
     ):
         self.model = model
         self.dataset_name = dataset_name
         self.policy = policy
         self.device = device
-        self.memoized = memoized
-        self.executor = IterationExecutor(
-            model, device, host_overhead_s, batched=batched
-        )
+        self.executor = IterationExecutor(model, device, host_overhead_s)
         #: Per unique shape, the reusable inputs object and the derived
         #: profile with its pooling key — shapes repeat across serve
         #: calls just as they repeat across batches.
@@ -210,142 +203,35 @@ class TrafficSimulator:
         self,
         requests: RequestSet,
         arrival_s: np.ndarray,
-        batches: list[FormedBatch],
+        batches: FormedBatchList,
     ) -> ServedTraffic:
         """Run formed batches through the device FIFO.
-
-        Dispatches to the shape-memoized columnar path (the default) or
-        the per-batch scalar reference; both return bit-identical
-        results.
-        """
-        if self.memoized and batches:
-            return self._serve_memoized(requests, arrival_s, batches)
-        return self._serve_scalar(requests, arrival_s, batches)
-
-    def _serve_scalar(
-        self,
-        requests: RequestSet,
-        arrival_s: np.ndarray,
-        batches: list[FormedBatch],
-    ) -> ServedTraffic:
-        """Reference path: one forward pass and FIFO step per batch."""
-        count = len(batches)
-        index = np.arange(count, dtype=np.int64)
-        epoch = np.empty(count, dtype=np.int64)
-        seq_len = np.empty(count, dtype=np.int64)
-        tgt_len = np.empty(count, dtype=np.int64)
-        time_s = np.empty(count, dtype=np.float64)
-        profile_id = np.empty(count, dtype=np.int64)
-        pool: dict[tuple, int] = {}
-        profiles: list[IterationProfile] = []
-        queue_wait = np.zeros(len(requests), dtype=np.float64)
-        latency = np.zeros(len(requests), dtype=np.float64)
-        device_free = 0.0
-        for i, batch in enumerate(batches):
-            inputs = IterationInputs(
-                batch=len(batch),
-                seq_len=batch.seq_len,
-                tgt_len=None if batch.tgt_len == NO_TGT else batch.tgt_len,
-            )
-            result = self.executor.run_forward(inputs)
-            start = max(batch.form_time_s, device_free)
-            device_free = start + result.time_s
-            queue_wait[batch.members] = start - arrival_s[batch.members]
-            latency[batch.members] = device_free - arrival_s[batch.members]
-            # The batch's phase: its earliest-arriving member's, so the
-            # epoch column tracks the mixture schedule.
-            epoch[i] = int(requests.phase[batch.members].min())
-            seq_len[i] = batch.seq_len
-            tgt_len[i] = batch.tgt_len
-            time_s[i] = result.time_s
-            profile = IterationProfile(
-                launches=result.launches,
-                counters=result.counters,
-                group_times=dict(result.group_times),
-                kernel_names=result.kernel_names,
-            )
-            key = profile.dedup_key()
-            pid = pool.get(key)
-            if pid is None:
-                pid = pool[key] = len(profiles)
-                profiles.append(profile)
-            profile_id[i] = pid
-        frame = TraceFrame(
-            model_name=f"{self.model.name}-serving",
-            dataset_name=self.dataset_name,
-            config_name=self.device.config.name,
-            batch_size=self.policy.batch_size,
-            index=index,
-            epoch=epoch,
-            seq_len=seq_len,
-            tgt_len=tgt_len,
-            time_s=time_s,
-            profile_id=profile_id,
-            profiles=tuple(profiles),
-        )
-        return ServedTraffic(
-            frame=frame,
-            batches=tuple(batches),
-            arrival_s=np.asarray(arrival_s, dtype=np.float64),
-            queue_wait_s=queue_wait,
-            latency_s=latency,
-            makespan_s=device_free,
-        )
-
-    def _serve_memoized(
-        self,
-        requests: RequestSet,
-        arrival_s: np.ndarray,
-        batches: list[FormedBatch],
-    ) -> ServedTraffic:
-        """Fast path: device work per unique shape, columnar FIFO.
 
         SeqPoint's Key Observation 4 applied to serving — formed
         batches collapse onto few unique ``(batch, seq_len, tgt_len)``
         shapes, so each shape is timed exactly once (all missing shapes
         through one
         :meth:`~repro.train.iteration.IterationExecutor.run_unique`) and
-        per-batch columns are gathered back by group index.  Unique
+        per-batch columns are gathered back by group index from the
+        batcher's :class:`~repro.traffic.batcher.BatchColumns`.  Unique
         shapes are processed in first-appearance order, so the profile
-        pool is populated in the same order the scalar walk would
-        populate it; the FIFO/latency columns come from
-        :func:`_fifo_prefix`.  Result is bit-identical to
-        :meth:`_serve_scalar`.
+        pool is populated in batch order; the FIFO/latency columns come
+        from :func:`_fifo_prefix`.  No batches give an empty frame and
+        a zero makespan.
         """
         count = len(batches)
-        columns = getattr(batches, "columns", None)
-        if columns is not None:
-            # The vectorized batcher kept its per-batch arrays: no
-            # re-gathering of fields batch by batch.
-            sizes = columns.sizes
-            seq_len = columns.seq_len
-            tgt_len = columns.tgt_len
-            form_s = columns.form_s
-            members = columns.members
-            segment_starts = columns.starts
-        else:
-            sizes = np.fromiter(
-                (len(batch) for batch in batches), np.int64, count
-            )
-            seq_len = np.fromiter(
-                (batch.seq_len for batch in batches), np.int64, count
-            )
-            tgt_len = np.fromiter(
-                (batch.tgt_len for batch in batches), np.int64, count
-            )
-            form_s = np.fromiter(
-                (batch.form_time_s for batch in batches), np.float64, count
-            )
-            members = np.concatenate([batch.members for batch in batches])
-            segment_starts = np.concatenate(
-                (np.zeros(1, dtype=np.int64), np.cumsum(sizes)[:-1])
-            )
+        columns = batches.columns
+        sizes = columns.sizes
+        seq_len = columns.seq_len
+        tgt_len = columns.tgt_len
+        form_s = columns.form_s
+        members = columns.members
         # Group by unique shape via one packed int64 key — injective
         # because each field is bounded by its own base — instead of a
         # row-sorting ``np.unique(..., axis=0)``.
         tgt_shift = tgt_len + 1  # NO_TGT (-1) packs as 0
-        seq_base = int(seq_len.max()) + 1
-        tgt_base = int(tgt_shift.max()) + 1
+        seq_base = int(seq_len.max(initial=0)) + 1
+        tgt_base = int(tgt_shift.max(initial=0)) + 1
         code = (sizes * seq_base + seq_len) * tgt_base + tgt_shift
         _, first_index, inverse = np.unique(
             code, return_index=True, return_inverse=True
@@ -377,7 +263,7 @@ class TrafficSimulator:
         time_s = unique_times[inverse]
         # Dedup profiles per unique shape, not per batch; first-
         # appearance processing keeps pool insertion order (and with it
-        # every profile id) identical to the scalar walk's.
+        # every profile id) what a batch-by-batch walk would give.
         pool: dict[tuple, int] = {}
         profiles: list[IterationProfile] = []
         unique_pid = np.empty(len(results), dtype=np.int64)
@@ -408,10 +294,10 @@ class TrafficSimulator:
         latency = np.zeros(len(requests), dtype=np.float64)
         queue_wait[members] = start_s[owner] - arrival_s[members]
         latency[members] = free_s[owner] - arrival_s[members]
-        # Per-batch phase: segment-min over member phases (the scalar
-        # walk's earliest-arriving member, batches being non-empty).
+        # Per-batch phase: segment-min over member phases (the
+        # earliest-arriving member's, batches being non-empty).
         epoch = np.minimum.reduceat(
-            requests.phase[members], segment_starts
+            requests.phase[members], columns.starts
         ).astype(np.int64)
         frame = TraceFrame(
             model_name=f"{self.model.name}-serving",
@@ -432,5 +318,5 @@ class TrafficSimulator:
             arrival_s=arrival_s,
             queue_wait_s=queue_wait,
             latency_s=latency,
-            makespan_s=float(free_s[-1]),
+            makespan_s=float(free_s[-1]) if count else 0.0,
         )

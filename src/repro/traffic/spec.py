@@ -18,6 +18,7 @@ from typing import Any
 
 from repro.api.spec import AnalysisSpec, ProjectionSpec, SpecBase
 from repro.errors import ConfigurationError
+from repro.stream.spec import IdentifierKnobs
 from repro.traffic.arrivals import (
     ARRIVAL_KINDS,
     ArrivalProcess,
@@ -29,7 +30,7 @@ __all__ = ["TrafficSpec"]
 
 
 @dataclass(frozen=True)
-class TrafficSpec(SpecBase):
+class TrafficSpec(SpecBase, IdentifierKnobs):
     """One traffic-driven serving simulation, declaratively.
 
     ``analysis`` names the scenario (network, corpus, batching policy,
@@ -57,7 +58,7 @@ class TrafficSpec(SpecBase):
     pad_multiple: int | None = None
     #: Configs to project serving time onto (``None``: none).
     targets: tuple[int, ...] | None = None
-    #: Streaming-identifier knobs (see ``StreamSpec``).
+    #: Streaming-identifier knobs (see ``IdentifierKnobs``).
     cadence: int = 16
     patience: int = 3
     rtol: float = 0.005
@@ -89,7 +90,7 @@ class TrafficSpec(SpecBase):
                 f"requests must be >= 1, got {self.requests}"
             )
         for name in ("rate", "max_wait_s", "burst_factor", "on_fraction",
-                     "period_s", "rtol", "drift_rtol", "sl_rtol"):
+                     "period_s"):
             try:
                 object.__setattr__(self, name, float(getattr(self, name)))
             except (TypeError, ValueError):
@@ -128,32 +129,7 @@ class TrafficSpec(SpecBase):
             object.__setattr__(
                 self, "targets", ProjectionSpec(targets=self.targets).targets
             )
-        for name in ("cadence", "patience", "min_iterations"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigurationError(
-                    f"{name} must be an int, got {value!r}"
-                )
-        if self.cadence < 1:
-            raise ConfigurationError(f"cadence must be >= 1, got {self.cadence}")
-        if self.patience < 1:
-            raise ConfigurationError(
-                f"patience must be >= 1, got {self.patience}"
-            )
-        if self.min_iterations < 0:
-            raise ConfigurationError(
-                f"min_iterations cannot be negative, got {self.min_iterations}"
-            )
-        if not self.rtol > 0:
-            raise ConfigurationError(f"rtol must be positive, got {self.rtol}")
-        if not self.drift_rtol > 0:
-            raise ConfigurationError(
-                f"drift_rtol must be positive, got {self.drift_rtol}"
-            )
-        if self.sl_rtol < 0:
-            raise ConfigurationError(
-                f"sl_rtol cannot be negative, got {self.sl_rtol}"
-            )
+        self._validate_identifier_knobs()
         self.build_arrivals()  # fail now, not after sampling a workload
 
     def build_arrivals(self) -> ArrivalProcess:
@@ -164,20 +140,6 @@ class TrafficSpec(SpecBase):
             burst_factor=self.burst_factor,
             on_fraction=self.on_fraction,
             period_s=self.period_s,
-        )
-
-    def build_identifier(self) -> Any:
-        """Instantiate the streaming convergence loop for this traffic."""
-        from repro.stream.identifier import StreamingIdentifier
-
-        return StreamingIdentifier(
-            selector=self.analysis.build_selector(),
-            cadence=self.cadence,
-            patience=self.patience,
-            rtol=self.rtol,
-            drift_rtol=self.drift_rtol,
-            sl_rtol=self.sl_rtol,
-            min_iterations=self.min_iterations,
         )
 
     def projection(self) -> ProjectionSpec | None:

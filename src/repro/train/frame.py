@@ -748,6 +748,22 @@ class TraceFrame:
         )
 
     @classmethod
+    def load_npt(cls, path: str | Path) -> "TraceFrame":
+        """Load a binary v3 container, never falling back to JSON.
+
+        A torn, emptied or foreign file raises
+        :class:`~repro.errors.StorageError` or
+        :class:`~repro.errors.TraceError` naming ``path``.
+        """
+        store = ColumnStore(path)
+        if store.schema != SCHEMA_V3:
+            raise TraceError(
+                f"{Path(path)}: unknown binary trace schema "
+                f"{store.schema!r}; expected {SCHEMA_V3!r}"
+            )
+        return cls._from_npt(store)
+
+    @classmethod
     def load(cls, path: str | Path) -> "TraceFrame":
         """Load a trace artefact of any supported schema version.
 
@@ -755,13 +771,7 @@ class TraceFrame:
         JSON parse as before.  All versions produce equal frames.
         """
         if is_npt(path):
-            store = ColumnStore(path)
-            if store.schema != SCHEMA_V3:
-                raise TraceError(
-                    f"{Path(path)}: unknown binary trace schema "
-                    f"{store.schema!r}; expected {SCHEMA_V3!r}"
-                )
-            return cls._from_npt(store)
+            return cls.load_npt(path)
         document = read_json(path)
         schema = document.get("schema")
         if schema == SCHEMA_V2:

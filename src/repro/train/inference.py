@@ -7,6 +7,13 @@ serving runs.  :class:`InferenceRunSimulator` replays a request stream
 :class:`~repro.train.trace.TrainingTrace` structure, so the entire
 SeqPoint pipeline — selection, baselines, projection — applies to
 inference without modification.
+
+A pass walks kernels once per unique request-batch shape and
+broadcasts into a columnar frame, exactly as a training epoch does
+(:func:`~repro.train.runner.memoized_shape_walk`).  The per-request
+loop it replaced is kept as test code (``tests/reference.py``) and
+compared against bit for bit in tests/test_columnar_equivalence.py and
+tests/test_plan_equivalence.py, including the ragged single-batch case.
 """
 
 from __future__ import annotations
@@ -18,10 +25,10 @@ from repro.data.dataset import SequenceDataset
 from repro.errors import ConfigurationError
 from repro.hw.device import GpuDevice
 from repro.models.spec import IterationInputs, Model
-from repro.train.frame import TraceFrame
+from repro.train.frame import NO_TGT, TraceFrame
 from repro.train.iteration import IterationExecutor
 from repro.train.runner import memoized_shape_walk
-from repro.train.trace import IterationRecord, TrainingTrace
+from repro.train.trace import TrainingTrace
 from repro.util.rng import derive_seed, make_rng
 
 __all__ = ["InferenceRunSimulator"]
@@ -42,7 +49,6 @@ class InferenceRunSimulator:
         host_overhead_s: float = DEFAULT_SERVING_OVERHEAD_S,
         noise_sigma: float = 0.0,
         seed: int = 0,
-        batched: bool = True,
     ):
         if noise_sigma < 0:
             raise ConfigurationError("noise_sigma cannot be negative")
@@ -52,11 +58,7 @@ class InferenceRunSimulator:
         self.device = device
         self.noise_sigma = noise_sigma
         self.seed = seed
-        # ``batched=False`` keeps the scalar per-invocation reference
-        # measurement path (bit-identical; for equivalence tests).
-        self.executor = IterationExecutor(
-            model, device, host_overhead_s, batched=batched
-        )
+        self.executor = IterationExecutor(model, device, host_overhead_s)
 
     def _noise(self, index: int) -> float:
         if self.noise_sigma == 0.0:
@@ -64,69 +66,36 @@ class InferenceRunSimulator:
         rng = make_rng(derive_seed(self.seed, "inference-noise", index))
         return float(rng.lognormal(mean=0.0, sigma=self.noise_sigma))
 
-    def run_pass(
-        self, epoch: int = 0, *, columnar: bool = True
-    ) -> TrainingTrace:
+    def run_pass(self, epoch: int = 0) -> TrainingTrace:
         """One pass over the request set; returns an inference trace.
 
         Characterisation uses full batches (serving replicates a fixed
-        batch size); when the request set is smaller than one batch the
-        ragged remainder is kept so tiny sets still produce a trace.
-
-        Like :meth:`TrainingRunSimulator.run_epoch`, the default path
-        walks kernels once per unique shape and broadcasts into a
-        columnar frame; ``columnar=False`` keeps the bit-identical
-        per-request reference loop.
+        batch size); when the request set is smaller than one batch it
+        is served as one ragged batch at its actual size, so tiny sets
+        still produce a trace.
         """
-        if columnar:
-            seq_len, tgt_len = self.batching.plan_epoch_columns(
-                self.dataset, epoch=epoch, seed=self.seed
-            )
-            if seq_len.size:
-                return TrainingTrace.from_frame(
-                    self._run_pass_frame(epoch, seq_len, tgt_len)
-                )
-            # Request set smaller than one batch: fall through to the
-            # ragged-remainder path below.
-        plan = self.batching.plan_epoch(
-            self.dataset, epoch=epoch, seed=self.seed, drop_last=True
+        seq_len, tgt_len = self.batching.plan_epoch_columns(
+            self.dataset, epoch=epoch, seed=self.seed
         )
-        if not plan:
+        batch = self.batching.batch_size
+        if not seq_len.size:
             plan = self.batching.plan_epoch(
                 self.dataset, epoch=epoch, seed=self.seed, drop_last=False
             )
-        if not plan:
-            raise ConfigurationError(f"{self.dataset.name}: no requests to serve")
-        trace = TrainingTrace(
-            model_name=f"{self.model.name}-inference",
-            dataset_name=self.dataset.name,
-            config_name=self.device.config.name,
-            batch_size=self.batching.batch_size,
-        )
-        for index, inputs in enumerate(plan):
-            result = self.executor.run_forward(inputs)
-            trace.records.append(
-                IterationRecord(
-                    index=index,
-                    epoch=epoch,
-                    seq_len=inputs.seq_len,
-                    tgt_len=inputs.tgt_len,
-                    time_s=result.time_s * self._noise(index),
-                    launches=result.launches,
-                    counters=result.counters,
-                    group_times=result.group_times,
-                    kernel_names=result.kernel_names,
+            if not plan:
+                raise ConfigurationError(
+                    f"{self.dataset.name}: no requests to serve"
                 )
+            (ragged,) = plan
+            batch = ragged.batch
+            seq_len = np.array([ragged.seq_len], dtype=np.int64)
+            tgt_len = np.array(
+                [NO_TGT if ragged.tgt_len is None else ragged.tgt_len],
+                dtype=np.int64,
             )
-        return trace
-
-    def _run_pass_frame(
-        self, epoch: int, seq_len: np.ndarray, tgt_len: np.ndarray
-    ) -> TraceFrame:
-        """Shape-memoized columnar pass over full request batches."""
         count = int(seq_len.size)
         time_s, profile_id, profiles = memoized_shape_walk(
-            seq_len, tgt_len, self.batching.batch_size,
+            seq_len, tgt_len, batch,
             lambda shapes: self.executor.run_unique(shapes, "forward"),
         )
         if self.noise_sigma:
@@ -135,18 +104,20 @@ class InferenceRunSimulator:
                 dtype=np.float64,
                 count=count,
             )
-        return TraceFrame(
-            model_name=f"{self.model.name}-inference",
-            dataset_name=self.dataset.name,
-            config_name=self.device.config.name,
-            batch_size=self.batching.batch_size,
-            index=np.arange(count, dtype=np.int64),
-            epoch=np.full(count, epoch, dtype=np.int64),
-            seq_len=seq_len,
-            tgt_len=tgt_len,
-            time_s=time_s,
-            profile_id=profile_id,
-            profiles=tuple(profiles),
+        return TrainingTrace.from_frame(
+            TraceFrame(
+                model_name=f"{self.model.name}-inference",
+                dataset_name=self.dataset.name,
+                config_name=self.device.config.name,
+                batch_size=self.batching.batch_size,
+                index=np.arange(count, dtype=np.int64),
+                epoch=np.full(count, epoch, dtype=np.int64),
+                seq_len=seq_len,
+                tgt_len=tgt_len,
+                time_s=time_s,
+                profile_id=profile_id,
+                profiles=profiles,
+            )
         )
 
     def measure_seq_len(self, seq_len: int, tgt_len: int | None = None) -> float:

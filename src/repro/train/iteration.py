@@ -6,27 +6,23 @@ whole epoch only pays lowering cost once per unique (seq_len, tgt_len)
 pair — that is what makes full-epoch simulation cheap enough to treat
 as ground truth.
 
-Two measurement paths exist:
+Each shape's columnar :class:`~repro.models.plan.SchedulePlan` comes
+through the process-wide :data:`~repro.models.plan.PLAN_CACHE` (so
+equal shapes are lowered once per process, not once per executor, and
+a shape already lowered on another hardware config is resolved from
+its skeleton instead of lowered again).  Many shapes' plans are timed
+with a few vectorized :meth:`~repro.hw.device.GpuDevice.run_batch`
+calls (:meth:`IterationExecutor.run_unique`), and each call's
+measurements are folded into all its plans' results in one pass
+(:meth:`IterationExecutor._fold`).
 
-* the default **batched** path gets each shape's columnar
-  :class:`~repro.models.plan.SchedulePlan` through the process-wide
-  :data:`~repro.models.plan.PLAN_CACHE` (so equal shapes are lowered
-  once per process, not once per executor, and a shape already lowered
-  on another hardware config is resolved from its skeleton instead of
-  lowered again) and times many shapes' plans with a few vectorized
-  :meth:`~repro.hw.device.GpuDevice.run_batch` calls
-  (:meth:`IterationExecutor.run_unique`), folding each call's
-  measurements into all its plans' results in one pass
-  (:meth:`IterationExecutor._fold`);
-* the **scalar** reference path (``batched=False``) walks the merged
-  schedule invocation by invocation, exactly as before the columnar
-  refactor.
-
-Both produce bit-identical :class:`IterationResult`\\ s — every batched
-fold is the scalar loop's left-to-right accumulation — which
-tests/test_plan_equivalence.py asserts across models, shapes, hardware
-configurations, and noise seeds (and tests/test_properties_fold.py
-against an explicit per-plan loop).
+Every fold is a strict left-to-right accumulation, so each
+:class:`IterationResult` equals the per-invocation loop that walks the
+merged schedule kernel by kernel.  That loop lives on as test code
+(``tests/reference.py``), and tests/test_plan_equivalence.py compares
+the executor against it across models, shapes, hardware
+configurations and noise seeds (tests/test_properties_fold.py checks
+the fold against an explicit per-plan loop).
 """
 
 from __future__ import annotations
@@ -113,14 +109,12 @@ class IterationExecutor:
         model: Model,
         device: GpuDevice,
         host_overhead_s: float = DEFAULT_HOST_OVERHEAD_S,
-        batched: bool = True,
     ):
         if host_overhead_s < 0:
             raise ValueError("host_overhead_s cannot be negative")
         self.model = model
         self.device = device
         self.host_overhead_s = host_overhead_s
-        self.batched = batched
         #: Pass kind ("train" or "forward") -> shape -> result.
         self._results: dict[
             str, dict[tuple[int, int, int | None], IterationResult]
@@ -136,32 +130,6 @@ class IterationExecutor:
             else self.model.lower_forward
         )
         return lower(inputs, self.device.config)
-
-    def _measure(self, schedule: KernelSchedule) -> IterationResult:
-        """Scalar reference: per-invocation measurement and accumulation."""
-        time_s = self.host_overhead_s
-        launches = 0
-        counters = CounterSet.zero()
-        group_times: dict[str, float] = {}
-        names: set[str] = set()
-        for invocation, count in schedule.merged():
-            measurement = self.device.run(invocation.work)
-            time_s += measurement.time_s * count
-            launches += count
-            counters = counters + measurement.counters.scaled(count)
-            group_times[invocation.group] = (
-                group_times.get(invocation.group, 0.0)
-                + measurement.time_s * count
-            )
-            names.add(invocation.name)
-        return IterationResult(
-            time_s=time_s,
-            launches=launches,
-            counters=counters,
-            group_times=group_times,
-            kernel_names=frozenset(names),
-            gemm_shapes=tuple(schedule.gemm_shapes()),
-        )
 
     def _fingerprint(self, inputs: IterationInputs, kind: str) -> dict | None:
         """The cross-process plan-store key of one plan, or ``None``.
@@ -323,8 +291,7 @@ class IterationExecutor:
         evaluation passes and serving: every shape missing from this
         executor's memo (first appearance order) gets its plan from
         :meth:`_plans_for` and is timed by :meth:`_time_plans`.  Repeats
-        map back to their shape's one result.  The scalar reference
-        path (``batched=False``) lowers and measures shape by shape.
+        map back to their shape's one result.
         """
         results = self._results[kind]
         missing: dict[tuple[int, int, int | None], IterationInputs] = {}
@@ -332,10 +299,7 @@ class IterationExecutor:
             key = self._key(inputs)
             if key not in results:
                 missing.setdefault(key, inputs)
-        if missing and not self.batched:
-            for key, inputs in missing.items():
-                results[key] = self._measure(self._lower(inputs, kind))
-        elif missing:
+        if missing:
             plans = self._plans_for(list(missing.values()), kind)
             results.update(zip(missing, self._time_plans(plans)))
         return [results[self._key(inputs)] for inputs in inputs_seq]

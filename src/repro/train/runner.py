@@ -8,27 +8,21 @@ new GEMM shape — expensive in the first epoch, free afterwards) and
 the end-of-epoch *evaluation* pass (forward-only on a held-out set,
 empirically 2-3% of epoch time).
 
-The default epoch path is *shape-memoized and columnar*: per Key
-Observation 4, every iteration with the same padded
-``(batch, seq_len, tgt_len)`` shape performs identical work, so an
-epoch walks the kernel schedule once per unique shape — O(unique SLs)
-— and broadcasts the results into a
-:class:`~repro.train.frame.TraceFrame` with vectorized column
-operations.  Autotune charging follows first appearances (repeat
-charges are exactly ``0.0`` in the per-iteration path) and
-per-iteration log-normal noise is applied on top, so the produced trace
-is bit-identical to the per-iteration reference path, which is kept as
-``columnar=False`` for equivalence tests and benchmarks.
+An epoch is *shape-memoized and columnar*: per Key Observation 4,
+every iteration with the same padded ``(batch, seq_len, tgt_len)``
+shape performs identical work, so an epoch walks the kernel schedule
+once per unique shape — O(unique SLs) — and broadcasts the results
+into a :class:`~repro.train.frame.TraceFrame` with vectorized column
+operations.  Autotune charging follows first appearances (a repeat
+charge is exactly ``0.0``) and per-iteration log-normal noise is
+applied on top, so the trace is bit-identical to a per-iteration loop
+over the epoch.  That loop, with per-invocation measurement and the
+scalar autotune candidate race, is kept as test code
+(``tests/reference.py``) and compared against in
+tests/test_plan_equivalence.py and tests/test_columnar_equivalence.py.
 
 Optional multiplicative log-normal noise models run-to-run measurement
 jitter on real hardware; it is off by default so tests are exact.
-
-Orthogonally to the columnar *trace* layout, the kernel-walk itself has
-two implementations: the default batched pipeline (columnar
-:class:`~repro.models.plan.SchedulePlan` per shape, one vectorized
-device call, vectorized autotune candidate racing) and the scalar
-per-invocation reference selected with ``batched=False`` — also
-bit-identical, and the baseline of ``benchmarks/bench_kernel_timing.py``.
 """
 
 from __future__ import annotations
@@ -48,7 +42,7 @@ from repro.train.frame import (
     dedupe_shapes,
 )
 from repro.train.iteration import DEFAULT_HOST_OVERHEAD_S, IterationExecutor
-from repro.train.trace import IterationRecord, TrainingTrace
+from repro.train.trace import TrainingTrace
 from repro.util.rng import derive_seed, make_rng
 
 __all__ = ["TrainingRunSimulator", "memoized_shape_walk"]
@@ -121,7 +115,6 @@ class TrainingRunSimulator:
         noise_sigma: float = 0.0,
         seed: int = 0,
         noise_seed: int | None = None,
-        batched: bool = True,
     ):
         if noise_sigma < 0:
             raise ConfigurationError("noise_sigma cannot be negative")
@@ -136,17 +129,11 @@ class TrainingRunSimulator:
         # the data order: it gets its own seed so two runs of the same
         # epoch plan on different hardware have independent noise.
         self.noise_seed = seed if noise_seed is None else noise_seed
-        # ``batched=False`` selects the scalar reference pipeline end to
-        # end (per-invocation measurement loop and scalar autotune
-        # candidate timing) — bit-identical, kept for equivalence tests
-        # and benchmarks/bench_kernel_timing.py.
-        self.executor = IterationExecutor(
-            model, device, host_overhead_s, batched=batched
-        )
-        self._autotuner = Autotuner(device.config, batched=batched)
+        self.executor = IterationExecutor(model, device, host_overhead_s)
+        self._autotuner = Autotuner(device.config)
         # Iteration shapes whose GEMM shapes have all been charged:
-        # re-charging would contribute exactly 0.0, so the columnar
-        # path skips the whole charge loop for them.
+        # re-charging would contribute exactly 0.0, so an epoch skips
+        # the whole charge loop for them.
         self._autotune_settled: set[tuple[int, int, int | None]] = set()
 
     def _noise(self, epoch: int, index: int) -> float:
@@ -199,21 +186,9 @@ class TrainingRunSimulator:
             for epoch in range(epochs)
         ]
 
-    def run_epoch(
-        self,
-        epoch: int = 0,
-        include_eval: bool = True,
-        *,
-        columnar: bool = True,
-    ) -> TrainingTrace:
-        """Simulate one epoch and return its trace.
-
-        ``columnar=False`` selects the per-iteration reference path; it
-        produces a bit-identical trace and exists for equivalence tests
-        and the ``bench_trace_columnar`` comparison.
-        """
-        if not columnar:
-            return self._run_epoch_reference(epoch, include_eval)
+    def run_epoch(self, epoch: int = 0, include_eval: bool = True) -> TrainingTrace:
+        """Simulate one epoch and return its trace (a view over
+        :meth:`run_epoch_frame`)."""
         return TrainingTrace.from_frame(self.run_epoch_frame(epoch, include_eval))
 
     def run_epoch_frame(
@@ -222,9 +197,9 @@ class TrainingRunSimulator:
         """Simulate one epoch directly into a columnar frame.
 
         Kernel walks happen once per unique ``(seq_len, tgt_len)``
-        shape, in first-appearance order so autotune accounting matches
-        the per-iteration path exactly; runtimes are broadcast back to
-        all iterations and noised per iteration.
+        shape, in first-appearance order so autotune charges accrue in
+        epoch order; runtimes are broadcast back to all iterations and
+        noised per iteration.
         """
         seq_len, tgt_len = self.batching.plan_epoch_columns(
             self.dataset, epoch=epoch, seed=self.seed
@@ -267,48 +242,6 @@ class TrainingRunSimulator:
             autotune_s=autotune_s,
             eval_s=self._eval_phase_time(epoch) if include_eval else 0.0,
         )
-
-    def _run_epoch_reference(
-        self, epoch: int = 0, include_eval: bool = True
-    ) -> TrainingTrace:
-        """The pre-columnar per-iteration epoch loop, kept verbatim.
-
-        Ground truth for the bit-identity guarantee of
-        :meth:`run_epoch_frame` and the baseline of
-        ``benchmarks/bench_trace_columnar.py``.
-        """
-        plan = self.batching.plan_epoch(self.dataset, epoch=epoch, seed=self.seed)
-        if not plan:
-            raise ConfigurationError(
-                f"{self.dataset.name}: dataset too small for one "
-                f"batch of {self.batching.batch_size}"
-            )
-        trace = TrainingTrace(
-            model_name=self.model.name,
-            dataset_name=self.dataset.name,
-            config_name=self.device.config.name,
-            batch_size=self.batching.batch_size,
-        )
-        for index, inputs in enumerate(plan):
-            result = self.executor.run(inputs)
-            for shape in result.gemm_shapes:
-                trace.autotune_s += self._autotuner.charge(*shape)
-            trace.records.append(
-                IterationRecord(
-                    index=index,
-                    epoch=epoch,
-                    seq_len=inputs.seq_len,
-                    tgt_len=inputs.tgt_len,
-                    time_s=result.time_s * self._noise(epoch, index),
-                    launches=result.launches,
-                    counters=result.counters,
-                    group_times=result.group_times,
-                    kernel_names=result.kernel_names,
-                )
-            )
-        if include_eval:
-            trace.eval_s = self._eval_phase_time(epoch)
-        return trace
 
     def measure_seq_len(self, seq_len: int, tgt_len: int | None = None) -> float:
         """Runtime of a single iteration at ``seq_len`` on this device.

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import mmap
+import os
 import struct
 from collections.abc import Sequence
 from pathlib import Path
@@ -31,9 +32,16 @@ from typing import Any
 
 import numpy as np
 
-from repro.errors import StorageError
+from repro.errors import StorageError, TraceError
 
-__all__ = ["MAGIC", "ColumnStore", "is_npt", "write_columns"]
+__all__ = [
+    "CORRUPT_ERRORS",
+    "MAGIC",
+    "ColumnStore",
+    "is_npt",
+    "quarantine",
+    "write_columns",
+]
 
 MAGIC = b"REPRONPT"
 
@@ -95,6 +103,21 @@ def write_columns(
             handle.write(b"\x00" * (blob_start - position))
             handle.write(array.tobytes())
             position = blob_start + descriptor["nbytes"]
+
+
+#: What loading a torn, emptied or foreign artefact raises: the
+#: container's own checks, a schema mismatch, or a header that lacks or
+#: mistypes the fields a loader reads.
+CORRUPT_ERRORS = (StorageError, TraceError, KeyError, ValueError, TypeError)
+
+
+def quarantine(path: Path) -> None:
+    """Set a malformed artefact aside as ``{name}.corrupt``.
+
+    Callers hold the artefact's per-key file lock, so the rename cannot
+    race a writer publishing the same key.
+    """
+    os.replace(path, path.with_name(f"{path.name}.corrupt"))
 
 
 def is_npt(path: str | Path) -> bool:

@@ -29,10 +29,10 @@ def sequential_sum(values: np.ndarray, initial: float = 0.0) -> float:
 
     ``np.sum`` uses pairwise summation, which groups additions
     differently from an accumulator loop and so produces different
-    low-order bits.  The batched simulation paths must reproduce the
-    scalar reference's Python accumulation exactly, and ``np.cumsum``
-    is a running (left-fold) accumulation, so its last element is the
-    loop's result bit for bit.
+    low-order bits.  The simulation paths must reproduce the Python
+    accumulation of the scalar loops in ``tests/reference.py``
+    exactly, and ``np.cumsum`` is a running (left-fold) accumulation,
+    so its last element is the loop's result bit for bit.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:

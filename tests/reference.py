@@ -1,0 +1,408 @@
+"""Scalar reference implementations of the simulation stages.
+
+The library has one implementation per stage: plans timed in batched
+device calls, shape-memoized epochs and passes, a columnar serve and
+columnar batch formation.  Each replaced a scalar loop that walks the
+same work one kernel, iteration, batch or arrival at a time.  Those
+loops live here, changed only to take the executor or simulator they
+used to be methods of as an argument, and the equivalence tests
+(test_plan_equivalence.py, test_columnar_equivalence.py,
+test_properties_traffic.py) compare the library against them bit for
+bit.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from repro.errors import ConfigurationError
+from repro.hw.counters import CounterSet
+from repro.hw.timing import time_work
+from repro.kernels.autotune import _TRIALS_PER_VARIANT, _candidate_indices
+from repro.kernels.gemm import GEMM_VARIANTS, GemmVariant, build_gemm
+from repro.models.schedule import KernelSchedule
+from repro.models.spec import IterationInputs
+from repro.traffic.batcher import FormedBatch, _policy_queue
+from repro.traffic.simulator import ServedTraffic
+from repro.train.frame import NO_TGT, IterationProfile, TraceFrame
+from repro.train.iteration import IterationResult
+from repro.train.trace import IterationRecord, TrainingTrace
+
+# ---- kernels ----------------------------------------------------------
+
+
+def select_reference(m: int, n: int, k: int, config) -> GemmVariant:
+    """GEMM variant selection: time every variant, keep the first fastest."""
+    best: GemmVariant | None = None
+    best_time = math.inf
+    for variant in GEMM_VARIANTS:
+        candidate = build_gemm(variant, m, n, k)
+        elapsed, _, _ = time_work(candidate.work, config)
+        if elapsed < best_time:
+            best, best_time = variant, elapsed
+    assert best is not None  # GEMM_VARIANTS is non-empty
+    return best
+
+
+class ReferenceAutotuner:
+    """The autotuner's candidate loop: the first charge of a shape
+    builds and times, one invocation at a time, every variant the
+    library would try (the autotuner's own pruning rule); later charges
+    cost nothing."""
+
+    def __init__(self, config):
+        self.config = config
+        self.tuned: set[tuple[int, int, int]] = set()
+        self.total_cost_s = 0.0
+
+    def charge(self, m: int, n: int, k: int) -> float:
+        if (m, n, k) in self.tuned:
+            return 0.0
+        self.tuned.add((m, n, k))
+        cost = 0.0
+        for index in _candidate_indices(m, n):
+            candidate = build_gemm(GEMM_VARIANTS[index], m, n, k)
+            elapsed, _, _ = time_work(candidate.work, self.config)
+            cost += elapsed * _TRIALS_PER_VARIANT
+        self.total_cost_s += cost
+        return cost
+
+
+# ---- one iteration ----------------------------------------------------
+
+
+def measure(executor, schedule: KernelSchedule) -> IterationResult:
+    """Per-invocation measurement and accumulation of one schedule on
+    ``executor``'s device, from its host overhead."""
+    time_s = executor.host_overhead_s
+    launches = 0
+    counters = CounterSet.zero()
+    group_times: dict[str, float] = {}
+    names: set[str] = set()
+    for invocation, count in schedule.merged():
+        measurement = executor.device.run(invocation.work)
+        time_s += measurement.time_s * count
+        launches += count
+        counters = counters + measurement.counters.scaled(count)
+        group_times[invocation.group] = (
+            group_times.get(invocation.group, 0.0) + measurement.time_s * count
+        )
+        names.add(invocation.name)
+    return IterationResult(
+        time_s=time_s,
+        launches=launches,
+        counters=counters,
+        group_times=group_times,
+        kernel_names=frozenset(names),
+        gemm_shapes=tuple(schedule.gemm_shapes()),
+    )
+
+
+class ReferenceExecutor:
+    """An executor that lowers and measures shape by shape.
+
+    Wraps an :class:`~repro.train.iteration.IterationExecutor` for its
+    model, device and host overhead only; results are memoised per
+    shape and pass kind, never shared with the wrapped executor.
+    """
+
+    def __init__(self, executor):
+        self.executor = executor
+        self._results: dict[tuple, IterationResult] = {}
+
+    def _run(self, inputs: IterationInputs, kind: str) -> IterationResult:
+        key = (kind, inputs.batch, inputs.seq_len, inputs.tgt_len)
+        result = self._results.get(key)
+        if result is None:
+            model = self.executor.model
+            lower = model.lower_iteration if kind == "train" else model.lower_forward
+            schedule = lower(inputs, self.executor.device.config)
+            result = self._results[key] = measure(self.executor, schedule)
+        return result
+
+    def run(self, inputs: IterationInputs) -> IterationResult:
+        return self._run(inputs, "train")
+
+    def run_forward(self, inputs: IterationInputs) -> IterationResult:
+        return self._run(inputs, "forward")
+
+
+def _record(index, epoch, inputs, result, noise) -> IterationRecord:
+    return IterationRecord(
+        index=index,
+        epoch=epoch,
+        seq_len=inputs.seq_len,
+        tgt_len=inputs.tgt_len,
+        time_s=result.time_s * noise,
+        launches=result.launches,
+        counters=result.counters,
+        group_times=result.group_times,
+        kernel_names=result.kernel_names,
+    )
+
+
+# ---- training epochs and inference passes -----------------------------
+
+
+class ReferenceTrainer:
+    """A training simulator's per-iteration epoch loop.
+
+    Reads the plan, noise and evaluation set of a
+    :class:`~repro.train.runner.TrainingRunSimulator`; every iteration is
+    measured through a :class:`ReferenceExecutor` and charged through a
+    :class:`ReferenceAutotuner`, both kept across epochs like the
+    simulator's own.
+    """
+
+    def __init__(self, simulator):
+        self.simulator = simulator
+        self.executor = ReferenceExecutor(simulator.executor)
+        self.autotuner = ReferenceAutotuner(simulator.device.config)
+
+    def eval_phase_time(self, epoch: int = 0) -> float:
+        sim = self.simulator
+        if sim.eval_dataset is None:
+            return 0.0
+        plan = sim.batching.plan_epoch(
+            sim.eval_dataset, epoch=epoch, seed=sim.seed, drop_last=False
+        )
+        return sum(self.executor.run_forward(inputs).time_s for inputs in plan)
+
+    def run_epoch(self, epoch: int = 0, include_eval: bool = True) -> TrainingTrace:
+        sim = self.simulator
+        plan = sim.batching.plan_epoch(sim.dataset, epoch=epoch, seed=sim.seed)
+        if not plan:
+            raise ConfigurationError(
+                f"{sim.dataset.name}: dataset too small for one "
+                f"batch of {sim.batching.batch_size}"
+            )
+        trace = TrainingTrace(
+            model_name=sim.model.name,
+            dataset_name=sim.dataset.name,
+            config_name=sim.device.config.name,
+            batch_size=sim.batching.batch_size,
+        )
+        for index, inputs in enumerate(plan):
+            result = self.executor.run(inputs)
+            for shape in result.gemm_shapes:
+                trace.autotune_s += self.autotuner.charge(*shape)
+            trace.records.append(
+                _record(index, epoch, inputs, result, sim._noise(epoch, index))
+            )
+        if include_eval:
+            trace.eval_s = self.eval_phase_time(epoch)
+        return trace
+
+
+def run_pass_reference(simulator, epoch: int = 0) -> TrainingTrace:
+    """An inference simulator's per-request pass over full batches, or
+    over one ragged batch when the request set is smaller than one."""
+    sim = simulator
+    executor = ReferenceExecutor(sim.executor)
+    plan = sim.batching.plan_epoch(sim.dataset, epoch=epoch, seed=sim.seed, drop_last=True)
+    if not plan:
+        plan = sim.batching.plan_epoch(
+            sim.dataset, epoch=epoch, seed=sim.seed, drop_last=False
+        )
+    if not plan:
+        raise ConfigurationError(f"{sim.dataset.name}: no requests to serve")
+    trace = TrainingTrace(
+        model_name=f"{sim.model.name}-inference",
+        dataset_name=sim.dataset.name,
+        config_name=sim.device.config.name,
+        batch_size=sim.batching.batch_size,
+    )
+    for index, inputs in enumerate(plan):
+        result = executor.run_forward(inputs)
+        trace.records.append(_record(index, epoch, inputs, result, sim._noise(index)))
+    return trace
+
+
+# ---- serving ----------------------------------------------------------
+
+
+def form_batches_reference(
+    arrival_s: np.ndarray,
+    seq_len: np.ndarray,
+    tgt_len: np.ndarray,
+    policy,
+    max_wait_s: float,
+) -> list[FormedBatch]:
+    """Batch formation as an event loop: one decision per arrival."""
+    arrival_s = np.asarray(arrival_s, dtype=np.float64)
+    seq_len = np.asarray(seq_len, dtype=np.int64)
+    tgt_len = np.asarray(tgt_len, dtype=np.int64)
+    bucketed, capacity = _policy_queue(policy)
+    batch_size = policy.batch_size
+    batches: list[FormedBatch] = []
+    waiting: list[int] = []  # request indices, arrival order
+
+    def flush(now: float) -> None:
+        """Close everything waiting into consecutive batches at ``now``."""
+        pool = np.asarray(waiting, dtype=np.int64)
+        if bucketed:
+            pool = pool[np.argsort(seq_len[pool], kind="stable")]
+        for lo in range(0, pool.size, batch_size):
+            members = pool[lo : lo + batch_size]
+            tgt_max = int(tgt_len[members].max())
+            batches.append(
+                FormedBatch(
+                    form_time_s=now,
+                    members=members,
+                    seq_len=policy._pad(int(seq_len[members].max())),
+                    tgt_len=(NO_TGT if tgt_max == NO_TGT else policy._pad(tgt_max)),
+                )
+            )
+        waiting.clear()
+
+    for index in range(arrival_s.size):
+        now = float(arrival_s[index])
+        if waiting and arrival_s[waiting[0]] + max_wait_s < now:
+            flush(float(arrival_s[waiting[0]]) + max_wait_s)
+        waiting.append(index)
+        if capacity is not None and len(waiting) >= capacity:
+            flush(now)
+    if waiting:
+        # Stream exhausted: the remainder goes out when the oldest
+        # waiting request's deadline expires.
+        flush(float(arrival_s[waiting[0]]) + max_wait_s)
+    return batches
+
+
+def serve_reference(
+    simulator, requests, arrival_s: np.ndarray, batches, executor=None
+) -> ServedTraffic:
+    """A traffic simulator's serve, one forward pass and FIFO step per
+    batch.  ``executor`` (a :class:`ReferenceExecutor` over the
+    simulator's executor by default) may be shared across calls."""
+    sim = simulator
+    if executor is None:
+        executor = ReferenceExecutor(sim.executor)
+    count = len(batches)
+    index = np.arange(count, dtype=np.int64)
+    epoch = np.empty(count, dtype=np.int64)
+    seq_len = np.empty(count, dtype=np.int64)
+    tgt_len = np.empty(count, dtype=np.int64)
+    time_s = np.empty(count, dtype=np.float64)
+    profile_id = np.empty(count, dtype=np.int64)
+    pool: dict[tuple, int] = {}
+    profiles: list[IterationProfile] = []
+    queue_wait = np.zeros(len(requests), dtype=np.float64)
+    latency = np.zeros(len(requests), dtype=np.float64)
+    device_free = 0.0
+    for i, batch in enumerate(batches):
+        inputs = IterationInputs(
+            batch=len(batch),
+            seq_len=batch.seq_len,
+            tgt_len=None if batch.tgt_len == NO_TGT else batch.tgt_len,
+        )
+        result = executor.run_forward(inputs)
+        start = max(batch.form_time_s, device_free)
+        device_free = start + result.time_s
+        queue_wait[batch.members] = start - arrival_s[batch.members]
+        latency[batch.members] = device_free - arrival_s[batch.members]
+        # The batch's phase: its earliest-arriving member's.
+        epoch[i] = int(requests.phase[batch.members].min())
+        seq_len[i] = batch.seq_len
+        tgt_len[i] = batch.tgt_len
+        time_s[i] = result.time_s
+        profile = IterationProfile(
+            launches=result.launches,
+            counters=result.counters,
+            group_times=dict(result.group_times),
+            kernel_names=result.kernel_names,
+        )
+        key = profile.dedup_key()
+        pid = pool.get(key)
+        if pid is None:
+            pid = pool[key] = len(profiles)
+            profiles.append(profile)
+        profile_id[i] = pid
+    frame = TraceFrame(
+        model_name=f"{sim.model.name}-serving",
+        dataset_name=sim.dataset_name,
+        config_name=sim.device.config.name,
+        batch_size=sim.policy.batch_size,
+        index=index,
+        epoch=epoch,
+        seq_len=seq_len,
+        tgt_len=tgt_len,
+        time_s=time_s,
+        profile_id=profile_id,
+        profiles=tuple(profiles),
+    )
+    return ServedTraffic(
+        frame=frame,
+        batches=tuple(batches),
+        arrival_s=np.asarray(arrival_s, dtype=np.float64),
+        queue_wait_s=queue_wait,
+        latency_s=latency,
+        makespan_s=device_free,
+    )
+
+
+# ---- comparisons ------------------------------------------------------
+
+
+def assert_results_identical(ours: IterationResult, reference: IterationResult) -> None:
+    assert ours.time_s == reference.time_s
+    assert ours.launches == reference.launches
+    assert ours.counters == reference.counters
+    assert ours.group_times == reference.group_times
+    assert ours.kernel_names == reference.kernel_names
+    assert ours.gemm_shapes == reference.gemm_shapes
+
+
+def assert_traces_bit_identical(ours: TrainingTrace, reference: TrainingTrace) -> None:
+    """Every column, counter, group time, record and phase total equal."""
+    left, right = ours.frame(), reference.frame()
+    assert np.array_equal(left.index, right.index)
+    assert np.array_equal(left.epoch, right.epoch)
+    assert np.array_equal(left.seq_len, right.seq_len)
+    assert np.array_equal(left.tgt_len, right.tgt_len)
+    # Exact equality, not approx: bit for bit.
+    assert left.time_s.tolist() == right.time_s.tolist()
+    assert ours.autotune_s == reference.autotune_s
+    assert ours.eval_s == reference.eval_s
+    assert np.array_equal(left.launches, right.launches)
+    for name in left.counter_names:
+        assert left.counter_column(name).tolist() == (
+            right.counter_column(name).tolist()
+        ), name
+    assert left.groups == right.groups
+    for group in left.groups:
+        assert left.group_time_column(group).tolist() == (
+            right.group_time_column(group).tolist()
+        ), group
+    assert ours.records == reference.records
+    assert (left.model_name, left.dataset_name, left.config_name, left.batch_size) == (
+        right.model_name,
+        right.dataset_name,
+        right.config_name,
+        right.batch_size,
+    )
+
+
+def assert_batches_identical(ours, reference) -> None:
+    """Same batches in the same order: formation instants bit for bit,
+    members (values and dtype) and padded shapes."""
+    assert len(ours) == len(reference)
+    for one, two in zip(ours, reference):
+        assert one.form_time_s == two.form_time_s
+        assert np.array_equal(one.members, two.members)
+        assert one.members.dtype == two.members.dtype
+        assert (one.seq_len, one.tgt_len) == (two.seq_len, two.tgt_len)
+
+
+def assert_served_identical(ours: ServedTraffic, reference: ServedTraffic) -> None:
+    assert ours.frame.to_payload() == reference.frame.to_payload()
+    assert ours.frame.profiles == reference.frame.profiles
+    assert_batches_identical(ours.batches, reference.batches)
+    assert np.array_equal(ours.arrival_s, reference.arrival_s)
+    assert np.array_equal(ours.queue_wait_s, reference.queue_wait_s)
+    assert np.array_equal(ours.latency_s, reference.latency_s)
+    assert ours.makespan_s == reference.makespan_s
+    assert ours.latency_percentiles() == reference.latency_percentiles()
+    assert ours.queue_wait_percentiles() == reference.queue_wait_percentiles()

@@ -5,12 +5,26 @@ import threading
 import pytest
 
 from repro.api.cache import TraceCache, trace_nbytes
+from repro.cli import main
 
 from tests.conftest import make_trace
 
 
 def small_trace(time_s: float = 1.0) -> object:
     return make_trace([(10, time_s), (20, 2 * time_s)])
+
+
+def halve(path) -> None:
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+
+
+def empty(path) -> None:
+    path.write_bytes(b"")
+
+
+#: The two corruptions a crash or a full disk leaves behind.
+CORRUPTIONS = {"halved": halve, "emptied": empty}
 
 
 class TestKeying:
@@ -105,6 +119,50 @@ class TestDisk:
         cache.put("k", small_trace())
         cache.clear()
         assert cache.get("k") is not None
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+class TestCorruptArtefacts:
+    """A torn or emptied ``.npt`` never poisons its key: a bare ``get``
+    reports a miss, and ``get_or_compute`` sets the file aside as
+    ``{key}.npt.corrupt`` and computes again."""
+
+    def test_bare_get_reports_a_miss(self, tmp_path, corruption):
+        TraceCache(tmp_path).put("k", small_trace())
+        CORRUPTIONS[corruption](tmp_path / "k.npt")
+        cache = TraceCache(tmp_path)
+        assert cache.get("k") is None
+        assert cache.stats()["misses"] == 1
+        assert (tmp_path / "k.npt").exists()
+        assert not (tmp_path / "k.npt.corrupt").exists()
+
+    def test_get_or_compute_recomputes(self, tmp_path, corruption):
+        TraceCache(tmp_path).put("k", small_trace(0.5))
+        CORRUPTIONS[corruption](tmp_path / "k.npt")
+        trace = TraceCache(tmp_path).get_or_compute("k", lambda: small_trace(0.5))
+        assert trace.total_time_s == small_trace(0.5).total_time_s
+        assert (tmp_path / "k.npt.corrupt").exists()
+        # The recomputed artefact replaced the corrupt one.
+        again = TraceCache(tmp_path).get("k")
+        assert again is not None
+        assert again.records == small_trace(0.5).records
+
+    def test_next_cli_run_gives_the_same_answer(self, tmp_path, capsys, corruption):
+        args = ["analyze", "--network", "gnmt", "--scale", "0.02",
+                "--cache-dir", str(tmp_path), "--format", "json"]
+        assert main(args) == 0
+        first = capsys.readouterr().out
+        artefacts = sorted(tmp_path.glob("*.npt"))
+        assert artefacts
+        for path in artefacts:
+            CORRUPTIONS[corruption](path)
+        assert main(args) == 0
+        assert capsys.readouterr().out == first
+        for path in artefacts:
+            assert path.with_name(f"{path.name}.corrupt").exists()
+        # ...and the run after that loads the rewritten artefacts.
+        assert main(args) == 0
+        assert capsys.readouterr().out == first
 
 
 class TestEviction:

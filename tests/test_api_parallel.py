@@ -156,11 +156,6 @@ class TestRunSweep:
         assert run.mode == "serial"
         assert run.unique_traces == 2
 
-    def test_thread_matches_plain_loop(self):
-        sweep = small_sweep(targets=(1, 3))
-        run = run_sweep(sweep, mode="thread", workers=4)
-        assert [r.to_dict() for r in run.results] == serial_reference(sweep)
-
     def test_results_in_expansion_order(self):
         sweep = small_sweep()
         run = run_sweep(sweep, mode="serial")

@@ -234,6 +234,14 @@ class TestSweep:
         assert err.count("\n") == 1  # one line, no traceback
         assert "unknown model 'bert'" in err
 
+    def test_thread_mode_is_an_invalid_choice(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--networks", "gnmt", "--mode", "thread"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'thread'" in err
+        assert "Traceback" not in err
+
 
 class TestStream:
     def test_json_output_matches_library(self, capsys):

@@ -1,14 +1,13 @@
 """The columnar path's bit-identity guarantee.
 
-The shape-memoized epoch (``run_epoch`` default) must produce traces
-bit-identical to the per-iteration reference loop
-(``columnar=False``) across models, datasets, configurations, noise
-settings, and epochs — runtimes, counters, kernel statistics, autotune
-accounting, and the evaluation phase all included.  The same guarantee
-covers the vectorized batching plan and the inference pass.
+The shape-memoized epoch (``run_epoch``) must produce traces
+bit-identical to the per-iteration loop in ``tests/reference.py``
+across models, datasets, configurations, noise settings, and epochs —
+runtimes, counters, kernel statistics, autotune accounting, and the
+evaluation phase all included.  The same guarantee covers the
+vectorized batching plan and the inference pass, ragged batch included.
 """
 
-import numpy as np
 import pytest
 
 from repro.api.registry import DATASETS, MODELS, build_batching
@@ -25,6 +24,11 @@ from repro.hw.device import GpuDevice
 from repro.models.gnmt import build_gnmt
 from repro.train.inference import InferenceRunSimulator
 from repro.train.runner import TrainingRunSimulator
+from tests.reference import (
+    ReferenceTrainer,
+    assert_traces_bit_identical,
+    run_pass_reference,
+)
 
 SCALE = 0.03
 
@@ -47,44 +51,19 @@ def build_simulator(network: str, config: int, sigma: float):
     )
 
 
-def assert_traces_bit_identical(columnar, reference):
-    left, right = columnar.frame(), reference.frame()
-    assert np.array_equal(left.index, right.index)
-    assert np.array_equal(left.epoch, right.epoch)
-    assert np.array_equal(left.seq_len, right.seq_len)
-    assert np.array_equal(left.tgt_len, right.tgt_len)
-    # Exact equality, not approx: the memoized path must reproduce the
-    # reference floats bit for bit.
-    assert left.time_s.tolist() == right.time_s.tolist()
-    assert columnar.autotune_s == reference.autotune_s
-    assert columnar.eval_s == reference.eval_s
-    assert np.array_equal(left.launches, right.launches)
-    for name in left.counter_names:
-        assert left.counter_column(name).tolist() == (
-            right.counter_column(name).tolist()
-        ), name
-    assert left.groups == right.groups
-    for group in left.groups:
-        assert left.group_time_column(group).tolist() == (
-            right.group_time_column(group).tolist()
-        ), group
-    assert columnar.records == reference.records
-
-
 @pytest.mark.parametrize("sigma", [0.0, 0.02])
 @pytest.mark.parametrize(
     "network,config", [("gnmt", 1), ("gnmt", 4), ("ds2", 1)]
 )
 class TestEpochBitIdentity:
     def test_memoized_epochs_match_reference(self, network, config, sigma):
-        columnar_sim = build_simulator(network, config, sigma)
-        reference_sim = build_simulator(network, config, sigma)
+        simulator = build_simulator(network, config, sigma)
+        reference = ReferenceTrainer(build_simulator(network, config, sigma))
         for epoch in (0, 1):
-            columnar = columnar_sim.run_epoch(epoch=epoch, include_eval=True)
-            reference = reference_sim.run_epoch(
-                epoch=epoch, include_eval=True, columnar=False
+            assert_traces_bit_identical(
+                simulator.run_epoch(epoch=epoch, include_eval=True),
+                reference.run_epoch(epoch=epoch, include_eval=True),
             )
-            assert_traces_bit_identical(columnar, reference)
 
 
 class TestPlanColumns:
@@ -126,25 +105,27 @@ class TestInferenceBitIdentity:
     @pytest.mark.parametrize("sigma", [0.0, 0.03])
     def test_memoized_pass_matches_reference(self, devices, sigma):
         corpus = build_iwslt(sentences=400)
-        columnar_sim = InferenceRunSimulator(
+        simulator = InferenceRunSimulator(
             build_gnmt(), corpus, ShuffledBatching(16), devices[1],
             noise_sigma=sigma,
         )
-        reference_sim = InferenceRunSimulator(
-            build_gnmt(), corpus, ShuffledBatching(16), devices[1],
-            noise_sigma=sigma,
+        assert_traces_bit_identical(
+            simulator.run_pass(), run_pass_reference(simulator)
         )
-        columnar = columnar_sim.run_pass()
-        reference = reference_sim.run_pass(columnar=False)
-        assert_traces_bit_identical(columnar, reference)
 
     def test_tiny_request_set_falls_back_to_ragged_batch(self, devices):
         corpus = build_iwslt(sentences=24)
-        sim = InferenceRunSimulator(
-            build_gnmt(), corpus, ShuffledBatching(64), devices[1]
-        )
-        trace = sim.run_pass()
-        assert len(trace) == 1
+        for sigma in (0.0, 0.03):
+            sim = InferenceRunSimulator(
+                build_gnmt(), corpus, ShuffledBatching(64), devices[1],
+                noise_sigma=sigma,
+            )
+            trace = sim.run_pass()
+            assert len(trace) == 1
+            # One ragged batch, timed at its actual size; the trace
+            # keeps the policy's batch size.
+            assert trace.frame().batch_size == 64
+            assert_traces_bit_identical(trace, run_pass_reference(sim))
 
 
 class TestSelectionUnaffected:
@@ -153,7 +134,7 @@ class TestSelectionUnaffected:
         from repro.core.seqpoint import SeqPointSelector
 
         columnar = build_simulator("gnmt", 1, 0.02).run_epoch()
-        reference = build_simulator("gnmt", 1, 0.02).run_epoch(columnar=False)
+        reference = ReferenceTrainer(build_simulator("gnmt", 1, 0.02)).run_epoch()
         for selector in (SeqPointSelector(), FrequentSelector(), MedianSelector()):
             left = selector.select(columnar.frame())
             right = selector.select(reference.frame())

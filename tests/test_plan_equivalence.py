@@ -1,11 +1,10 @@
-"""Batched lowering→timing pipeline vs the scalar reference.
+"""Batched lowering→timing pipeline vs the scalar references.
 
-The equivalence matrix of the columnar-plan refactor: across models ×
-shapes × hardware configs × noise seeds, the batched executor
-(``SchedulePlan`` + ``run_batch`` + vectorized reductions), the
-vectorized autotuner, and the vectorized GEMM dispatch race must all be
-**bit-identical** to the retained scalar reference paths — not merely
-approximately equal.
+The equivalence matrix of the columnar-plan pipeline: across models ×
+shapes × hardware configs × noise seeds, the executor (``SchedulePlan``
++ ``run_batch`` + one fold per device call), the autotuner, and the
+GEMM dispatch race must all be **bit-identical** to the scalar loops in
+``tests/reference.py`` — not merely approximately equal.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from repro.kernels.autotune import Autotuner
 from repro.kernels.gemm import (
     GEMM_VARIANTS,
     _select,
-    _select_reference,
     build_gemm,
     candidate_times,
 )
@@ -52,6 +50,15 @@ from repro.models.transformer import build_transformer
 from repro.train.inference import InferenceRunSimulator
 from repro.train.iteration import IterationExecutor
 from repro.train.runner import TrainingRunSimulator
+from tests.reference import (
+    ReferenceAutotuner,
+    ReferenceExecutor,
+    ReferenceTrainer,
+    assert_results_identical,
+    assert_traces_bit_identical,
+    run_pass_reference,
+    select_reference,
+)
 
 MODEL_BUILDERS = {
     "gnmt": build_gnmt,
@@ -77,35 +84,24 @@ SHAPES = {
 CONFIGS = (1, 2, 3, 4, 5)
 
 
-def assert_results_identical(batched, scalar):
-    assert batched.time_s == scalar.time_s
-    assert batched.launches == scalar.launches
-    assert batched.counters == scalar.counters
-    assert batched.group_times == scalar.group_times
-    assert batched.kernel_names == scalar.kernel_names
-    assert batched.gemm_shapes == scalar.gemm_shapes
-
-
 class TestExecutorEquivalenceMatrix:
     @pytest.mark.parametrize("network", sorted(MODEL_BUILDERS))
     @pytest.mark.parametrize("config_index", CONFIGS)
     def test_train_and_forward_bit_identical(self, network, config_index):
         device = GpuDevice(paper_config(config_index))
-        batched = IterationExecutor(
-            MODEL_BUILDERS[network](), device, batched=True
-        )
-        scalar = IterationExecutor(
-            MODEL_BUILDERS[network](), device, batched=False
+        executor = IterationExecutor(MODEL_BUILDERS[network](), device)
+        reference = ReferenceExecutor(
+            IterationExecutor(MODEL_BUILDERS[network](), device)
         )
         for inputs in SHAPES[network]:
-            assert_results_identical(batched.run(inputs), scalar.run(inputs))
+            assert_results_identical(executor.run(inputs), reference.run(inputs))
             assert_results_identical(
-                batched.run_forward(inputs), scalar.run_forward(inputs)
+                executor.run_forward(inputs), reference.run_forward(inputs)
             )
 
 
 class TestRunForwardUnique:
-    """The serving fast path's bulk shape miss: all missing shapes
+    """The serve's bulk shape miss: all missing shapes
     through one ``run_batch``, bit-identical to shape-at-a-time."""
 
     @pytest.mark.parametrize("network", sorted(MODEL_BUILDERS))
@@ -134,21 +130,12 @@ class TestRunForwardUnique:
         again = executor.run_unique([first, first], "forward")
         assert again[0] is solo and again[1] is solo
 
-    def test_scalar_executor_falls_back(self):
-        device = GpuDevice(paper_config(1))
-        scalar = IterationExecutor(build_gnmt(), device, batched=False)
-        reference = IterationExecutor(build_gnmt(), device, batched=False)
-        shapes = SHAPES["gnmt"]
-        results = scalar.run_unique(list(shapes), "forward")
-        for inputs, result in zip(shapes, results):
-            assert_results_identical(result, reference.run_forward(inputs))
-
 
 class TestEpochEquivalenceMatrix:
     """Whole simulated epochs, including autotune charging, evaluation
     passes, and per-iteration measurement noise."""
 
-    def _simulator(self, network, config_index, noise_seed, batched, scale=0.02):
+    def _simulator(self, network, config_index, noise_seed, scale=0.02):
         model = MODEL_BUILDERS[network]()
         dataset_name = default_dataset(network)
         corpus = DATASETS.create(dataset_name, scale=scale)
@@ -164,58 +151,47 @@ class TestEpochEquivalenceMatrix:
             noise_sigma=0.02,
             seed=0,
             noise_seed=noise_seed,
-            batched=batched,
         )
 
     @pytest.mark.parametrize("network", ["gnmt", "ds2"])
     @pytest.mark.parametrize("config_index", CONFIGS)
     def test_epoch_bit_identical_across_configs(self, network, config_index):
-        reference = self._simulator(network, config_index, 0, batched=False)
-        vectorized = self._simulator(network, config_index, 0, batched=True)
-        frame_ref = reference.run_epoch_frame(0)
-        frame_vec = vectorized.run_epoch_frame(0)
-        assert frame_vec.to_payload() == frame_ref.to_payload()
+        simulator = self._simulator(network, config_index, 0)
+        reference = ReferenceTrainer(simulator)
+        assert_traces_bit_identical(simulator.run_epoch(0), reference.run_epoch(0))
 
     @pytest.mark.parametrize("noise_seed", [0, 1, 17])
     def test_epoch_bit_identical_across_noise_seeds(self, noise_seed):
-        reference = self._simulator("gnmt", 1, noise_seed, batched=False)
-        vectorized = self._simulator("gnmt", 1, noise_seed, batched=True)
-        assert (
-            vectorized.run_epoch_frame(0).to_payload()
-            == reference.run_epoch_frame(0).to_payload()
-        )
+        simulator = self._simulator("gnmt", 1, noise_seed)
+        reference = ReferenceTrainer(simulator)
+        assert_traces_bit_identical(simulator.run_epoch(0), reference.run_epoch(0))
 
     def test_multi_epoch_autotune_settling_identical(self):
-        reference = self._simulator("gnmt", 1, 0, batched=False)
-        vectorized = self._simulator("gnmt", 1, 0, batched=True)
+        simulator = self._simulator("gnmt", 1, 0)
+        reference = ReferenceTrainer(simulator)
         for epoch in range(2):
-            assert (
-                vectorized.run_epoch_frame(epoch).to_payload()
-                == reference.run_epoch_frame(epoch).to_payload()
+            assert_traces_bit_identical(
+                simulator.run_epoch(epoch), reference.run_epoch(epoch)
             )
-        # Autotune settles after the shapes' first epoch in both paths.
+        # Autotune settles after the shapes' first epoch in both.
         assert (
-            vectorized._autotuner.total_cost_s
-            == reference._autotuner.total_cost_s
+            simulator._autotuner.total_cost_s == reference.autotuner.total_cost_s
         )
 
     def test_inference_pass_bit_identical(self):
-        def serving(batched):
-            corpus = DATASETS.create(default_dataset("gnmt"), scale=0.02)
-            return InferenceRunSimulator(
-                model=MODEL_BUILDERS["gnmt"](),
-                dataset=corpus,
-                batching=build_batching(
-                    default_batching("gnmt"), 16, dataset=default_dataset("gnmt")
-                ),
-                device=GpuDevice(paper_config(3)),
-                noise_sigma=0.02,
-                batched=batched,
-            )
-
-        reference = serving(False).run_pass()
-        vectorized = serving(True).run_pass()
-        assert vectorized.frame().to_payload() == reference.frame().to_payload()
+        corpus = DATASETS.create(default_dataset("gnmt"), scale=0.02)
+        simulator = InferenceRunSimulator(
+            model=MODEL_BUILDERS["gnmt"](),
+            dataset=corpus,
+            batching=build_batching(
+                default_batching("gnmt"), 16, dataset=default_dataset("gnmt")
+            ),
+            device=GpuDevice(paper_config(3)),
+            noise_sigma=0.02,
+        )
+        assert_traces_bit_identical(
+            simulator.run_pass(), run_pass_reference(simulator)
+        )
 
 
 class TestGemmRaceEquivalence:
@@ -239,19 +215,19 @@ class TestGemmRaceEquivalence:
     def test_select_matches_reference_loop(self, config_index):
         config = paper_config(config_index)
         for m, n, k in self.PROBLEMS:
-            assert _select(m, n, k, config) is _select_reference(m, n, k, config)
+            assert _select(m, n, k, config) is select_reference(m, n, k, config)
 
     @pytest.mark.parametrize("config_index", CONFIGS)
     def test_autotune_charge_bit_identical(self, config_index):
         config = paper_config(config_index)
-        scalar = Autotuner(config, batched=False)
-        vectorized = Autotuner(config, batched=True)
+        tuner = Autotuner(config)
+        reference = ReferenceAutotuner(config)
         for shape in self.PROBLEMS:
-            assert vectorized.charge(*shape) == scalar.charge(*shape)
-        assert vectorized.total_cost_s == scalar.total_cost_s
-        # Re-charging is free in both modes.
-        assert vectorized.charge(*self.PROBLEMS[0]) == 0.0
-        assert scalar.charge(*self.PROBLEMS[0]) == 0.0
+            assert tuner.charge(*shape) == reference.charge(*shape)
+        assert tuner.total_cost_s == reference.total_cost_s
+        # Re-charging is free in both.
+        assert tuner.charge(*self.PROBLEMS[0]) == 0.0
+        assert reference.charge(*self.PROBLEMS[0]) == 0.0
 
 
 class TestPlanCacheSharing:
@@ -280,7 +256,7 @@ class TestPlanCacheSharing:
         but not its parameter count, so a structural key derived from
         ``param_count`` alone would serve one model's plans to the
         other.  The default per-instance key must keep them apart and
-        each batched result equal to its own scalar reference."""
+        each result equal to its own reference."""
         wide = build_transformer(heads=12)
         narrow = build_transformer(heads=8)
         assert wide.param_count() == narrow.param_count()
@@ -288,11 +264,11 @@ class TestPlanCacheSharing:
 
         device = GpuDevice(paper_config(1))
         inputs = IterationInputs(batch=8, seq_len=96, tgt_len=96)
-        wide_batched = IterationExecutor(wide, device, batched=True).run(inputs)
-        narrow_batched = IterationExecutor(narrow, device, batched=True).run(inputs)
-        narrow_scalar = IterationExecutor(narrow, device, batched=False).run(inputs)
-        assert_results_identical(narrow_batched, narrow_scalar)
-        assert wide_batched.time_s != narrow_batched.time_s
+        wide_result = IterationExecutor(wide, device).run(inputs)
+        narrow_result = IterationExecutor(narrow, device).run(inputs)
+        narrow_reference = ReferenceExecutor(IterationExecutor(narrow, device))
+        assert_results_identical(narrow_result, narrow_reference.run(inputs))
+        assert wide_result.time_s != narrow_result.time_s
 
     def test_unpickled_model_draws_a_fresh_plan_token(self):
         """Plan tokens are process-local: a model shipped to another

@@ -132,6 +132,62 @@ class TestPlanStore:
         assert store.stats()["entries"] == 2
 
 
+def halve(path) -> None:
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+
+
+def empty(path) -> None:
+    path.write_bytes(b"")
+
+
+#: The two corruptions a crash or a full disk leaves behind.
+CORRUPTIONS = {"halved": halve, "emptied": empty}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+class TestCorruptArtefacts:
+    """A torn or emptied plan artefact is set aside as
+    ``{key}.npt.corrupt`` and the plan built again, never fatal."""
+
+    def test_get_or_compute_rebuilds(self, tmp_path, corruption):
+        plan = tiny_plan()
+        fingerprint = {"model": "tiny", "kind": "train"}
+        PlanStore(tmp_path).get_or_compute(fingerprint, lambda: plan)
+        (path,) = tmp_path.glob("*.npt")
+        CORRUPTIONS[corruption](path)
+        store = PlanStore(tmp_path)
+        rebuilt = store.get_or_compute(fingerprint, tiny_plan)
+        assert_plans_equal(plan, rebuilt)
+        assert path.with_name(f"{path.name}.corrupt").exists()
+        assert store.stats() == {"entries": 1, "hits": 0, "misses": 1}
+        loaded = PlanStore(tmp_path).get_or_compute(
+            fingerprint, lambda: pytest.fail("must not rebuild")
+        )
+        assert_plans_equal(plan, loaded)
+
+    def test_next_cli_run_gives_the_same_answer(self, tmp_path, capsys, corruption):
+        from repro.cli import main
+
+        plans = tmp_path / "plans"
+        args = ["traffic", "--network", "gnmt", "--scale", "0.02",
+                "--requests", "64", "--rate", "64", "--cadence", "4",
+                "--patience", "2", "--format", "json",
+                "--plan-store-dir", str(plans)]
+        PLAN_CACHE.clear()  # force lowerings through the attached store
+        assert main(args) == 0
+        first = capsys.readouterr().out
+        artefacts = sorted(plans.glob("*.npt"))
+        assert artefacts
+        for path in artefacts:
+            CORRUPTIONS[corruption](path)
+        PLAN_CACHE.clear()
+        assert main(args) == 0
+        assert capsys.readouterr().out == first
+        for path in artefacts:
+            assert path.with_name(f"{path.name}.corrupt").exists()
+
+
 class TestPlanCacheIntegration:
     def test_attach_store_returns_previous(self, tmp_path):
         cache = PlanCache()

@@ -4,9 +4,9 @@ Invariants the ISSUEs pin down:
 
 * a seeded arrival process plus a batching policy is bit-deterministic
   end to end (arrivals, batch composition, padded shapes),
-* the columnar formation path and the vectorized serve fast path are
-  **bit-identical** to their retained scalar references across
-  policies × arrival processes × seeds × drift schedules, and
+* columnar formation and the shape-memoized serve are
+  **bit-identical** to the scalar loops in ``tests/reference.py``
+  across policies × arrival processes × seeds × drift schedules, and
 * streaming identification over a traffic feed equals batch
   identification whenever the request mix is stationary.
 """
@@ -34,10 +34,20 @@ from repro.traffic import (
     form_batches,
     sample_requests,
 )
-from repro.traffic.batcher import FormedBatch
+from repro.traffic.batcher import FormedBatch, FormedBatchList
 from repro.traffic.simulator import ServedTraffic, _fifo_prefix
+from repro.traffic.workload import RequestSet
 from repro.train.frame import NO_TGT
+from repro.train.inference import DEFAULT_SERVING_OVERHEAD_S
+from repro.train.iteration import IterationExecutor
 from tests.conftest import make_trace
+from tests.reference import (
+    ReferenceExecutor,
+    assert_batches_identical,
+    assert_served_identical,
+    form_batches_reference,
+    serve_reference,
+)
 
 # ---- strategy helpers -------------------------------------------------
 
@@ -113,18 +123,24 @@ def test_vectorized_formation_matches_scalar(case, with_tgt):
         seq_len.size, seed
     )
     policy = BATCHING.create(policy_name, batch_size)
-    fast = form_batches(
-        arrival_s, seq_len, tgt_len, policy, max_wait_s, vectorized=True
+    formed = form_batches(arrival_s, seq_len, tgt_len, policy, max_wait_s)
+    assert_batches_identical(
+        formed,
+        form_batches_reference(arrival_s, seq_len, tgt_len, policy, max_wait_s),
     )
-    slow = form_batches(
-        arrival_s, seq_len, tgt_len, policy, max_wait_s, vectorized=False
+    # The per-batch columns the serve reads agree with the batches.
+    columns = formed.columns
+    assert columns.form_s.tolist() == [b.form_time_s for b in formed]
+    assert columns.sizes.tolist() == [len(b) for b in formed]
+    assert columns.seq_len.tolist() == [b.seq_len for b in formed]
+    assert columns.tgt_len.tolist() == [b.tgt_len for b in formed]
+    assert np.array_equal(
+        columns.members,
+        np.concatenate([b.members for b in formed]),
     )
-    assert len(fast) == len(slow)
-    for one, two in zip(fast, slow):
-        assert one.form_time_s == two.form_time_s  # bit-exact float
-        assert np.array_equal(one.members, two.members)
-        assert one.members.dtype == two.members.dtype
-        assert (one.seq_len, one.tgt_len) == (two.seq_len, two.tgt_len)
+    assert columns.starts.tolist() == (
+        np.cumsum(columns.sizes) - columns.sizes
+    ).tolist()
 
 
 # ---- the vectorized device FIFO ---------------------------------------
@@ -175,17 +191,23 @@ _SCENARIO: dict = {}
 
 
 def _serving_scenario():
-    """One shared gnmt corpus + device; measurements memoize across
-    examples, so each hypothesis case only pays for novel shapes."""
+    """One shared gnmt corpus + device, and one reference executor;
+    measurements memoize across examples, so each hypothesis case only
+    pays for novel shapes."""
     if not _SCENARIO:
         dataset_name = default_dataset("gnmt")
         corpus = DATASETS.create(dataset_name, scale=0.02)
         train, _ = corpus.split(0.02, seed=7)
+        model = build_gnmt()
+        device = GpuDevice(paper_config(1))
         _SCENARIO.update(
-            model=build_gnmt(),
+            model=model,
             dataset_name=dataset_name,
             train=train,
-            device=GpuDevice(paper_config(1)),
+            device=device,
+            reference=ReferenceExecutor(
+                IterationExecutor(model, device, DEFAULT_SERVING_OVERHEAD_S)
+            ),
         )
     return _SCENARIO
 
@@ -223,25 +245,36 @@ def test_memoized_serve_bit_identical_to_scalar(case):
         arrival_s, requests.seq_len, requests.tgt_len, policy, 0.05
     )
 
-    def serve(memoized):
-        simulator = TrafficSimulator(
-            scenario["model"],
-            scenario["dataset_name"],
-            policy,
-            scenario["device"],
-            memoized=memoized,
-        )
-        return simulator.serve(requests, arrival_s, batches)
+    simulator = TrafficSimulator(
+        scenario["model"], scenario["dataset_name"], policy, scenario["device"]
+    )
+    assert_served_identical(
+        simulator.serve(requests, arrival_s, batches),
+        serve_reference(
+            simulator, requests, arrival_s, batches, scenario["reference"]
+        ),
+    )
 
-    fast = serve(True)
-    slow = serve(False)
-    assert fast.frame.to_payload() == slow.frame.to_payload()
-    assert fast.frame.profiles == slow.frame.profiles
-    assert np.array_equal(fast.queue_wait_s, slow.queue_wait_s)
-    assert np.array_equal(fast.latency_s, slow.latency_s)
-    assert fast.makespan_s == slow.makespan_s
-    assert fast.latency_percentiles() == slow.latency_percentiles()
-    assert fast.queue_wait_percentiles() == slow.queue_wait_percentiles()
+
+def test_serve_without_batches_is_empty():
+    """No requests form no batches, and serving them gives the empty
+    result the per-batch walk gives: no rows, zero makespan."""
+    scenario = _serving_scenario()
+    policy = build_batching("pooled", 8, dataset=scenario["dataset_name"])
+    empty = np.empty(0, dtype=np.int64)
+    requests = RequestSet(seq_len=empty, tgt_len=empty, phase=empty)
+    arrival_s = np.empty(0, dtype=np.float64)
+    batches = form_batches(arrival_s, empty, empty, policy, 0.05)
+    assert isinstance(batches, FormedBatchList) and len(batches) == 0
+    simulator = TrafficSimulator(
+        scenario["model"], scenario["dataset_name"], policy, scenario["device"]
+    )
+    served = simulator.serve(requests, arrival_s, batches)
+    assert len(served.frame) == 0 and len(served) == 0
+    assert served.makespan_s == 0.0
+    assert_served_identical(
+        served, serve_reference(simulator, requests, arrival_s, batches)
+    )
 
 
 # ---- streaming over traffic == batch identification -------------------

@@ -170,6 +170,16 @@ class TestParseJobSubmission:
                 {"kind": "sweep", "spec": SWEEP, "mode": "quantum"}
             )
 
+    def test_thread_sweep_mode_is_unknown(self):
+        """Thread mode was removed: a GIL-bound pool never beat serial."""
+        with pytest.raises(
+            ProtocolError,
+            match="unknown sweep mode 'thread'; expected one of: serial, process",
+        ):
+            parse_job_submission(
+                {"kind": "sweep", "spec": SWEEP, "mode": "thread"}
+            )
+
     @pytest.mark.parametrize("workers", [0, -1, True, "four", 2.5])
     def test_bad_workers_rejected(self, workers):
         with pytest.raises(ProtocolError, match="workers must be"):
