@@ -5,13 +5,23 @@ Usage:  python scripts/generate_experiments_md.py [scale]
 With the default scale of 1.0 this simulates the paper-sized corpora on
 all five hardware configurations (under ten seconds on a 2-CPU host)
 and rewrites EXPERIMENTS.md with the measured tables plus the
-paper-vs-measured summary.  The output is deterministic: CI regenerates
-it and fails if the committed file differs.
+paper-vs-measured summary.
+
+EXPERIMENTS.md renders rounded numbers, so the script also rewrites
+EXPERIMENTS.digests.json: one SHA-256 per experiment, and one for the
+headline table, each over ``float.hex`` of every float the table
+renders, taken before the renderer rounds it.  A one-ulp change moves
+a digest even where the rounded text stays the same.  Both outputs are
+deterministic: CI regenerates them and fails if either committed file
+differs.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 from repro.experiments import registry
@@ -69,6 +79,15 @@ Known shape deviations (documented, not hidden):
 """
 
 
+def float_digest(values: Iterable[object]) -> str:
+    """SHA-256 over ``float.hex`` of every float in ``values``, in order."""
+    digest = hashlib.sha256()
+    for value in values:
+        if isinstance(value, float):
+            digest.update(float.hex(value).encode("ascii") + b"\n")
+    return digest.hexdigest()
+
+
 def main() -> int:
     scale = float(sys.argv[1]) if len(sys.argv) > 1 else 1.0
 
@@ -86,32 +105,40 @@ def main() -> int:
     )
     gnmt_prof = speedups_for("gnmt", scale)
     ds2_prof = speedups_for("ds2", scale)
+    headline = dict(
+        scale=scale,
+        gnmt_time=gnmt_time,
+        ds2_time=ds2_time,
+        gnmt_speedup=gnmt_speedup,
+        ds2_speedup=ds2_speedup,
+        gnmt_points=len(seqpoint_result("gnmt", scale).selection),
+        ds2_points=len(seqpoint_result("ds2", scale).selection),
+        ds2_serial=ds2_prof.serial_speedup,
+        gnmt_serial=gnmt_prof.serial_speedup,
+        ds2_par=ds2_prof.parallel_speedup,
+        gnmt_par=gnmt_prof.parallel_speedup,
+    )
 
-    parts = [
-        _PREAMBLE.format(
-            scale=scale,
-            gnmt_time=gnmt_time,
-            ds2_time=ds2_time,
-            gnmt_speedup=gnmt_speedup,
-            ds2_speedup=ds2_speedup,
-            gnmt_points=len(seqpoint_result("gnmt", scale).selection),
-            ds2_points=len(seqpoint_result("ds2", scale).selection),
-            ds2_serial=ds2_prof.serial_speedup,
-            gnmt_serial=gnmt_prof.serial_speedup,
-            ds2_par=ds2_prof.parallel_speedup,
-            gnmt_par=gnmt_prof.parallel_speedup,
-        )
-    ]
+    parts = [_PREAMBLE.format(**headline)]
+    digests = {"headline": float_digest(headline.values())}
     for experiment_id, run in registry().items():
         print(f"running {experiment_id}...", flush=True)
+        result = run(scale)
+        digests[experiment_id] = float_digest(
+            cell for row in result.rows for cell in row
+        )
         parts.append("```")
-        parts.append(run(scale).render())
+        parts.append(result.render())
         parts.append("```")
         parts.append("")
 
-    target = Path(__file__).resolve().parent.parent / "EXPERIMENTS.md"
+    root = Path(__file__).resolve().parent.parent
+    target = root / "EXPERIMENTS.md"
     target.write_text("\n".join(parts), encoding="utf-8")
     print(f"wrote {target}")
+    pins = root / "EXPERIMENTS.digests.json"
+    pins.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {pins}")
     return 0
 
 

@@ -7,7 +7,7 @@ keys each trace by a stable hash of the spec fields that determine the
 simulation (:meth:`AnalysisSpec.trace_fingerprint`), so any two
 requests that would simulate the same epoch share one trace — within a
 process through the in-memory map, and across processes through an
-optional on-disk store of the trace's JSON artefact.
+optional on-disk store of the trace's binary artefact.
 
 Cached traces are frame-backed views: in memory they carry their
 columnar :class:`~repro.train.frame.TraceFrame` (shared by every
@@ -16,11 +16,12 @@ and on disk they persist as binary columnar ``.npt`` containers whose
 cold load is an mmap plus dtype views — concurrent sweep workers and
 serve sessions reading one entry share page cache instead of each
 parsing a private copy, and byte accounting uses the real file size.
-Cache directories written before the binary format (v2/v1 JSON
-artefacts) load transparently; new writes are always binary.  A
-malformed artefact (a torn or emptied file) is a miss: under the key's
-file lock ``get_or_compute`` renames it to ``{key}.npt.corrupt`` and
-simulates again, so one bad file never poisons its key.
+``{key}.npt`` is the one format the cache reads and writes: an entry
+left in any other format (such as a pre-binary ``{key}.json``) is a
+miss, simulated again to the same answer.  A malformed artefact (a torn
+or emptied file) is a miss too: under the key's file lock
+``get_or_compute`` renames it to ``{key}.npt.corrupt`` and simulates
+again, so one bad file never poisons its key.
 
 Hit/miss counters make the reuse measurable (see
 ``benchmarks/bench_api_cache.py``); per-key locks make concurrent
@@ -137,14 +138,8 @@ class TraceCache:
         canonical = json.dumps(fingerprint, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
-    def _path(self, key: str) -> Path | None:
-        """Legacy JSON artefact path (read-only compatibility tier)."""
-        if self.directory is None:
-            return None
-        return self.directory / f"{key}.json"
-
     def _npt_path(self, key: str) -> Path | None:
-        """Binary columnar artefact path (the write format)."""
+        """Binary columnar artefact path (the one disk format)."""
         if self.directory is None:
             return None
         return self.directory / f"{key}.npt"
@@ -183,10 +178,9 @@ class TraceCache:
     def get(self, key: str) -> TrainingTrace | None:
         """Look ``key`` up (memory, then disk), counting the outcome.
 
-        The disk tier reads the binary ``.npt`` artefact as binary only
-        (mmap + views) and falls back to legacy JSON; cold-load latency
-        is recorded per format for :meth:`storage_stats`.  A malformed
-        artefact counts as a miss.
+        The disk tier reads the binary ``.npt`` artefact (mmap + views);
+        cold-load latency is recorded for :meth:`storage_stats`.  A
+        malformed artefact counts as a miss.
         """
         return self._get(key, quarantine_corrupt=False)
 
@@ -197,27 +191,23 @@ class TraceCache:
                 self._memory.move_to_end(key)
                 self.hits += 1
                 return entry[0]
-        for path, fmt, load in (
-            (self._npt_path(key), "binary", _load_binary),
-            (self._path(key), "json", TrainingTrace.load),
-        ):
-            if path is None:
-                continue
+        path = self._npt_path(key)
+        if path is not None:
             started = time.perf_counter()
             try:
-                trace = load(path)
+                trace = _load_binary(path)
             except FileNotFoundError:
-                continue
+                pass
             except CORRUPT_ERRORS:
                 if quarantine_corrupt:
                     quarantine(path)
-                continue
-            elapsed = time.perf_counter() - started
-            with self._lock:
-                self._admit(key, trace)
-                self._record_load(fmt, elapsed)
-                self.hits += 1
-            return trace
+            else:
+                elapsed = time.perf_counter() - started
+                with self._lock:
+                    self._admit(key, trace)
+                    self._record_load("binary", elapsed)
+                    self.hits += 1
+                return trace
         with self._lock:
             self.misses += 1
         return None
@@ -252,8 +242,7 @@ class TraceCache:
         caches) on an advisory file lock — so the expensive simulation
         runs exactly once; every other caller observes a hit.  A
         malformed artefact found under the lock is renamed to
-        ``{key}.npt.corrupt`` (or ``{key}.json.corrupt``) and the trace
-        computed again.
+        ``{key}.npt.corrupt`` and the trace computed again.
         """
         with self._lock:
             # Memory hits skip the locks entirely: entries are immutable
@@ -286,12 +275,12 @@ class TraceCache:
         """Disk-tier observability: entry counts and cold-load latency.
 
         Separate from :meth:`stats` (whose exact shape is API) — this
-        reports per-format on-disk entry counts and the cold-load
-        counters accumulated by :meth:`get`.
+        reports on-disk entry counts and the cold-load counters
+        accumulated by :meth:`get`, both keyed by format (``"binary"``,
+        the one format).
         """
-        disk_entries = {"json": 0, "binary": 0}
+        disk_entries = {"binary": 0}
         if self.directory is not None and self.directory.is_dir():
-            disk_entries["json"] = sum(1 for _ in self.directory.glob("*.json"))
             disk_entries["binary"] = sum(1 for _ in self.directory.glob("*.npt"))
         with self._lock:
             cold_loads = {fmt: dict(entry) for fmt, entry in self._loads.items()}
@@ -321,7 +310,5 @@ class TraceCache:
                 return True
         if not isinstance(key, str):
             return False
-        for path in (self._npt_path(key), self._path(key)):
-            if path is not None and path.exists():
-                return True
-        return False
+        path = self._npt_path(key)
+        return path is not None and path.exists()

@@ -708,12 +708,15 @@ class AnalysisEngine:
                         error_pct=percent_error(projected_target, actual),
                     )
                 )
-            requests_served = frame.samples
+            # Full batches serve batch_size requests each; an eval set
+            # smaller than one batch is served whole, as one ragged batch.
+            requests_served = min(frame.samples, len(resolved.eval_data))
             feed: "Any" = TraceReplayFeed(frame, chunk_size=1)
-            latency = latency_snapshot(frame.time_s)
-            queue_wait = latency_snapshot(
-                frame.time_s * 0.0  # no queueing in a replayed batch
-            )
+            # Per request: each waits for its batch alone (no queueing in
+            # a replayed batch).
+            latency_s = frame.time_s.repeat(requests_served // len(frame))
+            latency = latency_snapshot(latency_s)
+            queue_wait = latency_snapshot(latency_s * 0.0)
             makespan = frame.total_time_s
         else:
             workload = sample_requests(

@@ -42,9 +42,10 @@ Nine subcommands cover the common workflows:
     end to end, and exit 0.
 
 ``repro trace convert SOURCE DEST [--to 3]``
-    Migrate a trace artefact between storage versions (v1/v2 JSON and
-    the v3 binary columnar container), verifying the converted file
-    reloads bit-identically before reporting success.
+    Convert a trace artefact (any version, legacy v1 JSON included) to
+    the v3 binary columnar container or the v2 columnar JSON, verifying
+    the converted file reloads bit-identically before reporting
+    success.
 
 ``repro experiments [--scale 0.1] [--ids fig11,fig12] [--output F]``
     Regenerate paper tables/figures (all by default) and print (or
@@ -428,8 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
     convert.add_argument("dest", help="output path")
     convert.add_argument(
         "--to", type=int, default=3, dest="to_version", metavar="VERSION",
-        help="output format version: 3 binary columnar (default), "
-        "2 columnar JSON, 1 row JSON",
+        help="output format version: 3 binary columnar (default) or "
+        "2 columnar JSON; v1 row JSON is read-only",
     )
 
     experiments = commands.add_parser(

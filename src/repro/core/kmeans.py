@@ -20,6 +20,7 @@ from repro.errors import SelectionError
 from repro.train.frame import TraceFrame
 from repro.train.trace import TrainingTrace
 from repro.util.rng import make_rng
+from repro.util.stats import sequential_sum
 
 __all__ = ["KMeansSelector", "kmeans_cluster"]
 
@@ -31,7 +32,7 @@ def _feature_matrix(stats: list[SlStat]) -> np.ndarray:
     rows = []
     for stat in stats:
         times = stat.representative.group_times
-        device_total = sum(times.values()) or 1.0
+        device_total = sequential_sum(times.values()) or 1.0
         shares = [times.get(group, 0.0) / device_total for group in groups]
         rows.append([*shares, stat.mean_time_s / max_time])
     return np.array(rows, dtype=float)
@@ -107,7 +108,7 @@ class KMeansSelector:
                 continue
             weight = float(sum(stat.iterations for stat in members))
             mean_time = (
-                sum(stat.total_time_s for stat in members) / weight
+                sequential_sum(stat.total_time_s for stat in members) / weight
             )
             representative = min(
                 members, key=lambda stat: abs(stat.mean_time_s - mean_time)

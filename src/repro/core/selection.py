@@ -17,6 +17,7 @@ import numpy as np
 from repro.core.binning import Bin
 from repro.errors import SelectionError
 from repro.train.trace import IterationRecord
+from repro.util.stats import sequential_sum
 
 __all__ = ["SelectedPoint", "Selection", "select_from_bin"]
 
@@ -92,7 +93,7 @@ class Selection:
 
     @property
     def total_weight(self) -> float:
-        return sum(point.weight for point in self.points)
+        return sequential_sum(self.weights_column)
 
     @property
     def seq_lens(self) -> tuple[int, ...]:

@@ -32,6 +32,7 @@ import numpy as np
 from repro.errors import TraceError
 from repro.train.frame import TraceFrame, as_frame
 from repro.train.trace import IterationRecord, TrainingTrace
+from repro.util.stats import sequential_sum
 
 __all__ = ["SlStat", "SlStatistics"]
 
@@ -190,7 +191,7 @@ class SlStatistics:
 
     @property
     def total_time_s(self) -> float:
-        return sum(self.totals_column.tolist())
+        return sequential_sum(self.totals_column)
 
     @property
     def total_iterations(self) -> int:

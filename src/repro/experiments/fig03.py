@@ -15,6 +15,7 @@ from repro.hw.config import paper_config
 from repro.hw.device import GpuDevice
 from repro.models.cnn import build_cnn
 from repro.train.runner import TrainingRunSimulator
+from repro.util.stats import mean
 
 __all__ = ["run"]
 
@@ -45,8 +46,8 @@ def run(scale: float = 1.0) -> ExperimentResult:
     count = min(_ITERATIONS, len(gnmt_trace), len(cnn_trace))
     gnmt_times = gnmt_trace.frame().time_s[:count].tolist()
     cnn_times = cnn_trace.frame().time_s[:count].tolist()
-    gnmt_mean = sum(gnmt_times) / count
-    cnn_mean = sum(cnn_times) / count
+    gnmt_mean = mean(gnmt_times)
+    cnn_mean = mean(cnn_times)
 
     rows = [
         [i + 1, round(cnn_times[i] / cnn_mean, 4), round(gnmt_times[i] / gnmt_mean, 4)]

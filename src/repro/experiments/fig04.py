@@ -13,6 +13,7 @@ from repro.experiments.setups import BATCH_SIZE, scenario
 from repro.hw.config import paper_config
 from repro.hw.device import GpuDevice
 from repro.profiling.profiler import Profiler
+from repro.util.stats import mean
 
 __all__ = ["run", "representative_seq_lens"]
 
@@ -48,7 +49,7 @@ def run(scale: float = 1.0) -> ExperimentResult:
                 + [round(v, 3) for v in normalised]
             )
         spreads = [
-            (max(col) - min(col)) / (sum(col) / len(col)) * 100
+            (max(col) - min(col)) / mean(col) * 100
             for col in zip(*per_iter)
         ]
         notes.append(

@@ -24,6 +24,7 @@ from repro.api.engine import AnalysisEngine, default_engine
 from repro.api.parallel import SweepSpec, run_sweep
 from repro.experiments.base import ExperimentResult
 from repro.experiments.setups import runner, scenario
+from repro.util.stats import mean
 
 __all__ = [
     "sensitivity_curves",
@@ -170,7 +171,7 @@ def build_result(
     notes = []
     for config_index in range(2, 6):
         values = [u for _, u in curves[config_index]]
-        span = (max(values) - min(values)) / (sum(values) / len(values)) * 100
+        span = (max(values) - min(values)) / mean(values) * 100
         notes.append(
             f"config#{config_index}->1 uplift varies {span:.0f}% across SLs"
         )

@@ -14,6 +14,7 @@ from collections.abc import Iterable, Iterator
 
 from repro.errors import LoweringError
 from repro.kernels.base import KernelInvocation
+from repro.util.stats import sequential_sum
 
 __all__ = ["KernelSchedule"]
 
@@ -60,7 +61,7 @@ class KernelSchedule:
 
     @property
     def total_flops(self) -> float:
-        return sum(inv.flops * count for inv, count in self._entries)
+        return sequential_sum(inv.flops * count for inv, count in self._entries)
 
     def unique_kernel_names(self) -> set[str]:
         """Distinct kernel variants launched (the Fig 5 statistic)."""

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.profiling.profiles import ExecutionProfile
+from repro.util.stats import sequential_sum
 
 __all__ = ["KernelOverlap", "kernel_overlap", "runtime_share_distance"]
 
@@ -71,6 +72,6 @@ def runtime_share_distance(
     else:
         raise ValueError(f"by must be 'group' or 'kernel', got {by!r}")
     keys = set(shares_a) | set(shares_b)
-    return 0.5 * sum(
+    return 0.5 * sequential_sum(
         abs(shares_a.get(key, 0.0) - shares_b.get(key, 0.0)) for key in keys
     )

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from repro.core.selection import Selection
 from repro.errors import ProjectionError
 from repro.train.trace import TrainingTrace
+from repro.util.stats import sequential_sum
 
 __all__ = ["ProfilingCostModel", "ProfilingSpeedups"]
 
@@ -59,7 +60,7 @@ class ProfilingCostModel:
 
     def selection_profiling_s(self, selection: Selection) -> float:
         """Profiling just the selected iterations, serially."""
-        iteration_time = sum(
+        iteration_time = sequential_sum(
             point.record.time_s
             for point in selection.points
         )

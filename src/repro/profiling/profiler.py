@@ -15,6 +15,7 @@ from repro.hw.counters import CounterSet
 from repro.hw.device import GpuDevice
 from repro.models.spec import IterationInputs, Model
 from repro.profiling.profiles import ExecutionProfile
+from repro.util.stats import sequential_sum
 
 __all__ = ["Profiler", "IterationProfile", "DEFAULT_PROFILING_OVERHEAD"]
 
@@ -89,4 +90,4 @@ class Profiler:
 
     def profiling_cost_s(self, profiles: list[IterationProfile]) -> float:
         """Wall time spent profiling these iterations."""
-        return sum(p.time_s for p in profiles) * self.overhead_multiplier
+        return sequential_sum(p.time_s for p in profiles) * self.overhead_multiplier

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import TraceError
+from repro.util.stats import sequential_sum
 
 __all__ = ["KernelStat", "ExecutionProfile"]
 
@@ -56,7 +57,7 @@ class ExecutionProfile:
 
     @property
     def total_time_s(self) -> float:
-        return sum(stat.time_s for stat in self.kernels.values())
+        return sequential_sum(stat.time_s for stat in self.kernels.values())
 
     @property
     def total_launches(self) -> int:

@@ -8,9 +8,9 @@ histogram per endpoint *template* (``POST /jobs``, ``GET /jobs/<id>``,
 ...), so path parameters do not explode the cardinality.
 
 :func:`storage_snapshot` formats the storage tier for ``/stats``:
-per-format (json/binary) on-disk trace-cache entry counts, cold-load
-latency counters, and — when the daemon runs with a plan store — the
-store's entry/hit/miss counters.
+on-disk trace-cache entry counts and cold-load latency counters, keyed
+by format (``binary``, the one trace-cache format), and — when the
+daemon runs with a plan store — the store's entry/hit/miss counters.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ get exactly one line per failure, never a traceback.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Any
@@ -206,8 +207,27 @@ def parse_stream_open(payload: Any) -> tuple[StreamSpec, bool]:
     return spec, replay
 
 
+#: Live records land in int64 columns.
+_INT64_MAX = 2**63 - 1
+
+
+def _is_int(value: Any, low: int) -> bool:
+    """Is ``value`` a JSON integer in ``[low, 2**63)``?"""
+    return (
+        isinstance(value, int)
+        and not isinstance(value, bool)
+        and low <= value <= _INT64_MAX
+    )
+
+
 def parse_records(payload: Any) -> list[dict[str, Any]]:
-    """Validate a live feed chunk: ``{"records": [{seq_len, time_s, ...}]}``."""
+    """Validate a live feed chunk: ``{"records": [{seq_len, time_s, ...}]}``.
+
+    Every record is checked before any is absorbed, so a rejected chunk
+    leaves its session untouched: ``seq_len`` must be an integer >= 1,
+    ``time_s`` a positive finite number, ``tgt_len`` null or an integer
+    >= 1, and ``epoch`` an integer >= 0.
+    """
     payload = _require_mapping(payload, "feed chunk")
     records = payload.get("records")
     if not isinstance(records, list) or not records:
@@ -220,23 +240,44 @@ def parse_records(payload: Any) -> list[dict[str, Any]]:
             raise ProtocolError(
                 f"records[{position}] has unknown fields: {', '.join(unknown)}"
             )
-        try:
-            seq_len = int(record["seq_len"])
-            time_s = float(record["time_s"])
-        except (KeyError, TypeError, ValueError):
+        seq_len = record.get("seq_len")
+        time_s = record.get("time_s")
+        if (
+            not isinstance(seq_len, int)
+            or isinstance(seq_len, bool)
+            or not isinstance(time_s, (int, float))
+            or isinstance(time_s, bool)
+        ):
             raise ProtocolError(
                 f"records[{position}] needs integer seq_len and numeric time_s"
-            ) from None
-        if seq_len < 1 or not time_s > 0:
+            )
+        if not _is_int(seq_len, 1):
             raise ConfigurationError(
-                f"records[{position}]: seq_len must be >= 1 and time_s positive"
+                f"records[{position}]: seq_len must be a positive integer, "
+                f"got {seq_len!r}"
+            )
+        try:
+            time_s = float(time_s)
+        except OverflowError:
+            time_s = math.inf
+        if not 0.0 < time_s < math.inf:
+            raise ConfigurationError(
+                f"records[{position}]: time_s must be positive and finite, "
+                f"got {time_s!r}"
+            )
+        tgt_len = record.get("tgt_len")
+        if tgt_len is not None and not _is_int(tgt_len, 1):
+            raise ConfigurationError(
+                f"records[{position}]: tgt_len must be null or an integer "
+                f">= 1, got {tgt_len!r}"
+            )
+        epoch = record.get("epoch", 0)
+        if not _is_int(epoch, 0):
+            raise ConfigurationError(
+                f"records[{position}]: epoch must be an integer >= 0, "
+                f"got {epoch!r}"
             )
         parsed.append(
-            {
-                "seq_len": seq_len,
-                "time_s": time_s,
-                "tgt_len": record.get("tgt_len"),
-                "epoch": int(record.get("epoch", 0)),
-            }
+            {"seq_len": seq_len, "time_s": time_s, "tgt_len": tgt_len, "epoch": epoch}
         )
     return parsed

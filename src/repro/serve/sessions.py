@@ -6,8 +6,9 @@ HTTP layer can address, in one of two feed styles:
 
 * **live** — the client POSTs iteration chunks
   (``{"records": [{"seq_len": ..., "time_s": ...}, ...]}``) as its
-  training run produces them; the server absorbs them and reports the
-  convergence snapshot after every chunk;
+  training run produces them; the server turns each chunk into one
+  columnar frame, absorbs it as a slice, and reports the convergence
+  snapshot after every chunk;
 * **replay** — the session draws from the scenario's *cached* epoch
   trace and the client just POSTs ``{"advance": n}`` to consume the
   next ``n`` iterations.  Replay sessions resolve their epoch through
@@ -31,6 +32,8 @@ import threading
 import time
 from typing import Any
 
+import numpy as np
+
 from repro.api.engine import AnalysisEngine
 from repro.errors import ConfigurationError
 from repro.hw.counters import CounterSet
@@ -38,9 +41,15 @@ from repro.serve.protocol import NotFoundError, ProtocolError
 from repro.stream.feed import FrameSlice
 from repro.stream.spec import StreamSpec
 from repro.stream.stats import StreamingSlStatistics
-from repro.train.trace import IterationRecord
+from repro.train.frame import NO_TGT, IterationProfile, TraceFrame
 
 __all__ = ["SessionManager", "StreamSession"]
+
+#: Live uploads carry no kernel data: every posted iteration shares
+#: this one profile.
+_LIVE_PROFILE = IterationProfile(
+    launches=1, counters=CounterSet(), group_times={}, kernel_names=frozenset()
+)
 
 
 class StreamSession:
@@ -60,7 +69,6 @@ class StreamSession:
         self.created_s = time.time()
         self.state = "open"  # open -> finished -> (removed)
         self._lock = threading.Lock()
-        self._next_index = 0
         self._cursor = 0
         if replay:
             # Through the shared cache: concurrent sessions over one
@@ -76,6 +84,7 @@ class StreamSession:
                 config_name=f"config#{analysis.config}",
                 batch_size=analysis.batch_size,
             )
+        self._stats = stats
         self._session = spec.build_identifier().begin(stats)
         self._result: dict[str, Any] | None = None
 
@@ -92,30 +101,38 @@ class StreamSession:
             )
 
     def feed_records(self, records: list[dict[str, Any]]) -> dict[str, Any]:
-        """Absorb one live chunk of client-posted iteration records."""
+        """Absorb one live chunk of client-posted iteration records.
+
+        ``records`` are dicts as :func:`~repro.serve.protocol.parse_records`
+        validates them (``epoch`` and ``tgt_len`` may be left out); the
+        chunk becomes one frame, absorbed whole as a slice.
+        """
         if self.replay:
             raise ProtocolError(
                 f"session {self.id} is a replay session; feed it {{'advance': n}}"
             )
         with self._lock:
             self._require_open()
-            chunk = []
-            for record in records:
-                chunk.append(
-                    IterationRecord(
-                        index=self._next_index,
-                        epoch=record.get("epoch", 0),
-                        seq_len=record["seq_len"],
-                        tgt_len=record.get("tgt_len"),
-                        time_s=record["time_s"],
-                        launches=1,
-                        counters=CounterSet(),
-                        group_times={},
-                        kernel_names=frozenset(),
-                    )
-                )
-                self._next_index += 1
-            self._session.absorb(chunk)
+            first = self._session.iterations_consumed
+            stats = self._stats
+            size = len(records)
+            frame = TraceFrame(
+                model_name=stats.model_name,
+                dataset_name=stats.dataset_name,
+                config_name=stats.config_name,
+                batch_size=stats.batch_size,
+                index=np.arange(first, first + size),
+                epoch=[record.get("epoch", 0) for record in records],
+                seq_len=[record["seq_len"] for record in records],
+                tgt_len=[
+                    NO_TGT if record.get("tgt_len") is None else record["tgt_len"]
+                    for record in records
+                ],
+                time_s=[record["time_s"] for record in records],
+                profile_id=np.zeros(size, dtype=np.int64),
+                profiles=(_LIVE_PROFILE,),
+            )
+            self._session.absorb(FrameSlice(frame, 0, size))
             return self._snapshot_locked()
 
     def advance(self, iterations: int) -> dict[str, Any]:

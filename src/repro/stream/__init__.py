@@ -15,7 +15,7 @@ Declarative entry points mirror the batch API: a
 ``AnalysisSpec``, :meth:`repro.api.engine.AnalysisEngine.run_streaming`
 executes one, and ``repro stream`` is the same path from the shell.
 :class:`~repro.stream.feed.TraceReplayFeed` replays cached epoch traces
-(or trace-JSON artefacts) as simulated live feeds.
+(or trace artefacts) as simulated live feeds of columnar chunks.
 """
 
 from repro.stream.feed import FrameSlice, TraceReplayFeed, replay

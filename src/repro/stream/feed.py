@@ -1,17 +1,16 @@
 """Feed adapters: things that produce iteration chunks for a stream.
 
-A *feed* is any iterable of chunks, where each chunk is either
-
-* a :class:`FrameSlice` — a columnar window ``frame[start:stop)`` (the
-  fast path for replayed traces), or
-* an iterable of :class:`~repro.train.trace.IterationRecord` (the
-  generic path for genuinely live producers).
+A *feed* is any iterable of :class:`FrameSlice` chunks, each a columnar
+window ``frame[start:stop)``.  A replayed trace yields consecutive
+slices of one frame; a live producer (the daemon's
+``/stream/<id>/feed``) turns each chunk of records it receives into a
+frame of its own and yields the whole of it.
 
 :class:`TraceReplayFeed` replays a logged
 :class:`~repro.train.trace.TrainingTrace` / :class:`TraceFrame` — or a
-trace-JSON artefact of either schema version — as such a stream, so
-every cached epoch can exercise the online identification path exactly
-as a live training run would.
+trace artefact of any schema version — as such a stream, so every
+cached epoch can exercise the online identification path exactly as a
+live training run would.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ class TraceReplayFeed:
 
     @classmethod
     def load(cls, path: str | Path, chunk_size: int = 1) -> "TraceReplayFeed":
-        """Replay a trace-JSON artefact (v1 or v2 schema)."""
+        """Replay a trace artefact of any schema version."""
         return cls(TraceFrame.load(path), chunk_size=chunk_size)
 
     def __len__(self) -> int:

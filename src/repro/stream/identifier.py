@@ -288,10 +288,10 @@ class StreamingIdentifier:
     ) -> StreamingRun:
         """Consume ``feed`` until convergence (or exhaustion).
 
-        ``feed`` yields :class:`~repro.stream.feed.FrameSlice` chunks
-        or iterables of records; chunks are split internally so checks
-        land on exact cadence boundaries.  Pass ``stats`` to resume an
-        accumulator that already absorbed earlier arrivals.
+        ``feed`` yields :class:`~repro.stream.feed.FrameSlice` chunks;
+        chunks are split internally so checks land on exact cadence
+        boundaries.  Pass ``stats`` to resume an accumulator that
+        already absorbed earlier arrivals.
         """
         session = self.begin(stats)
         for chunk in feed:
@@ -324,16 +324,17 @@ class IdentificationSession:
     session chunk-for-chunk is bit-identical to :meth:`StreamingIdentifier.run`
     over the concatenation of the same chunks.
 
-    Columnar chunks are absorbed once per check window, not once per
-    chunk: a :class:`FrameSlice` extends a pending contiguous
+    Every chunk is a :class:`FrameSlice`, absorbed once per check
+    window, not once per chunk: a slice extends a pending contiguous
     ``frame[start:stop)`` range, and one
     :meth:`~repro.stream.stats.StreamingSlStatistics.absorb_frame` call
     takes the range when it reaches the next check boundary, at
-    :meth:`finish`, before a record chunk, before a slice on another
-    frame or not contiguous with it, and whenever :attr:`stats` is
-    read.  :attr:`iterations_consumed` counts pending iterations.  A
-    non-finite or non-positive time fails the call that absorbs its
-    range, and every later one: the range stays pending.
+    :meth:`finish`, before a slice on another frame or not contiguous
+    with it, and whenever :attr:`stats` is read.  A live producer's
+    records arrive as a slice over a frame of their own.
+    :attr:`iterations_consumed` counts pending iterations.  A non-finite
+    or non-positive time fails the call that absorbs its range, and
+    every later one: the range stays pending.
     """
 
     def __init__(self, identifier: StreamingIdentifier, stats):
@@ -366,26 +367,14 @@ class IdentificationSession:
         pending = 0 if self._pending is None else self._pending[2] - self._pending[1]
         return len(self._stats) + pending
 
-    def absorb(self, chunk: Any) -> bool:
-        """Absorb one chunk (a :class:`FrameSlice` or record iterable).
-
-        Returns ``True`` once convergence has been declared — on this
-        chunk or a previous one.
-        """
-        if self.converged:
-            return True
-        if isinstance(chunk, FrameSlice):
-            return self.absorb_slice(chunk)
-        return self.absorb_records(chunk)
-
     def _next_boundary(self) -> int:
         """The next iteration count at which a check may fire.
 
         The smallest cadence multiple strictly past the current size
         that also satisfies the ``min_iterations`` warm-up — matching
-        ``_maybe_check``'s predicate exactly, so slice splitting and
-        the per-record path check at identical positions (a check CAN
-        land at ``min_iterations`` itself when it is a multiple).
+        ``_maybe_check``'s predicate exactly, so every chunking checks
+        at identical positions (a check CAN land at ``min_iterations``
+        itself when it is a multiple).
         """
         cadence = self.identifier.cadence
         boundary = (self.iterations_consumed // cadence + 1) * cadence
@@ -394,8 +383,18 @@ class IdentificationSession:
             boundary = -(-floor // cadence) * cadence
         return boundary
 
-    def absorb_slice(self, chunk: FrameSlice) -> bool:
-        """Take a columnar chunk, checking at each cadence boundary."""
+    def absorb(self, chunk: FrameSlice) -> bool:
+        """Absorb one columnar chunk, checking at each cadence boundary.
+
+        Returns ``True`` once convergence has been declared — on this
+        chunk or a previous one.
+        """
+        if self.converged:
+            return True
+        if not isinstance(chunk, FrameSlice):
+            raise ConfigurationError(
+                f"feed chunks must be FrameSlice, got {type(chunk).__name__}"
+            )
         start = chunk.start
         while start < chunk.stop:
             stop = min(
@@ -408,15 +407,6 @@ class IdentificationSession:
                 self._absorb_pending()
                 self._pending = (chunk.frame, start, stop)
             start = stop
-            if self._maybe_check():
-                return True
-        return False
-
-    def absorb_records(self, records) -> bool:
-        """Absorb a record chunk, checking at each cadence boundary."""
-        stats = self.stats
-        for record in records:
-            stats.absorb(record)
             if self._maybe_check():
                 return True
         return False

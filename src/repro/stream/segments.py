@@ -48,7 +48,7 @@ from repro.core.seqpoint import SeqPointResult
 from repro.core.sl_stats import SlStatistics
 from repro.errors import ConfigurationError
 from repro.train.frame import TraceFrame, as_frame
-from repro.util.stats import percent_error
+from repro.util.stats import percent_error, sequential_sum
 
 __all__ = [
     "Segment",
@@ -578,7 +578,7 @@ class SegmentedSelector:
             )
         combined = Selection(method=self.method, points=tuple(points))
         projected_total = project_logged_time(combined)
-        actual_total = sum(actual for *_, actual in per_segment)
+        actual_total = sequential_sum(actual for *_, actual in per_segment)
         return SegmentedResult(
             selection=combined,
             k=sum(k for _, _, k, _, _ in per_segment),
@@ -624,7 +624,7 @@ class SegmentedSelector:
         mass = sum(
             segment.iterations for segment, *_ in per_segment
         )
-        decayed = sum(
+        decayed = sequential_sum(
             scale * segment.iterations
             for scale, (segment, *_) in zip(raw, per_segment)
         )

@@ -2,10 +2,10 @@
 
 :class:`StreamingSlStatistics` is the online twin of
 :class:`~repro.core.sl_stats.SlStatistics`: it absorbs iterations as
-they arrive — one record at a time, a list of records, or a columnar
-chunk of an existing :class:`~repro.train.frame.TraceFrame` — into
-growable numpy columns plus per-SL running accumulators, and can at any
-moment produce
+they arrive — each arrival is a columnar chunk ``frame[start:stop)`` of
+a :class:`~repro.train.frame.TraceFrame` (a live producer's records
+become a one-chunk frame first) — into growable numpy columns plus
+per-SL running accumulators, and can at any moment produce
 
 * a :class:`~repro.train.frame.TraceFrame` of the prefix consumed so
   far (:meth:`frame`), and
@@ -15,8 +15,9 @@ moment produce
 
 Bit-identity holds because the running totals accumulate in arrival
 order — the exact addition sequence ``np.bincount`` performs over the
-batch column — and the representative search runs the same vectorized
-deviation + stable lexsort the batch path uses.  The equivalence is
+batch column, however the stream is chunked — and the representative
+search runs the same vectorized deviation + stable lexsort the batch
+path uses.  The equivalence is
 asserted across chunkings in ``tests/test_stream_equivalence.py`` and
 property-tested over random traces in ``tests/test_properties_stream.py``.
 
@@ -27,17 +28,12 @@ reuse the streaming group-by instead of recomputing it.
 
 from __future__ import annotations
 
-import math
-from typing import TYPE_CHECKING, Iterable
-
 import numpy as np
 
 from repro.errors import TraceError
 from repro.core.sl_stats import SlStatistics
-from repro.train.frame import NO_TGT, IterationProfile, TraceFrame
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.train.trace import IterationRecord
+from repro.train.frame import IterationProfile, TraceFrame
+from repro.util.stats import sequential_sum
 
 __all__ = ["StreamingSlStatistics"]
 
@@ -64,11 +60,6 @@ class _Column:
             grown[: self._size] = self._buffer[: self._size]
             self._buffer = grown
 
-    def append(self, value) -> None:
-        self._reserve(1)
-        self._buffer[self._size] = value
-        self._size += 1
-
     def extend(self, values: np.ndarray) -> None:
         values = np.asarray(values, dtype=self._buffer.dtype)
         self._reserve(values.size)
@@ -84,7 +75,7 @@ class StreamingSlStatistics:
     """Online per-SL statistics of a growing trace prefix.
 
     Construct with the trace metadata (or :meth:`for_frame` to copy it
-    from an existing frame), then :meth:`absorb` iterations as they
+    from an existing frame), then :meth:`absorb_frame` chunks as they
     arrive.  ``autotune_s``/``eval_s`` default to zero: one-off phases
     are not part of the iteration stream.
     """
@@ -154,7 +145,7 @@ class StreamingSlStatistics:
 
     @property
     def total_time_s(self) -> float:
-        return sum(self._totals[sl] for sl in sorted(self._totals))
+        return sequential_sum([self._totals[sl] for sl in sorted(self._totals)])
 
     def mean_times(self) -> dict[int, float]:
         """Current mean runtime per unique SL (drift-guard input)."""
@@ -177,48 +168,13 @@ class StreamingSlStatistics:
             self._profiles.append(profile)
         return pid
 
-    def _account(self, seq_len: int, time_s: float) -> None:
-        if time_s <= 0.0:
-            raise TraceError(f"iteration {len(self)}: non-positive time")
-        if not math.isfinite(time_s):
-            raise TraceError(
-                f"iteration {len(self)}: non-finite time {float(time_s)!r}"
-            )
-        self._counts[seq_len] = self._counts.get(seq_len, 0) + 1
-        self._totals[seq_len] = self._totals.get(seq_len, 0.0) + time_s
-
-    def absorb(self, record: "IterationRecord") -> None:
-        """Absorb one iteration record."""
-        self._account(record.seq_len, record.time_s)
-        self._index.append(record.index)
-        self._epoch.append(record.epoch)
-        self._seq_len.append(record.seq_len)
-        self._tgt_len.append(NO_TGT if record.tgt_len is None else record.tgt_len)
-        self._time_s.append(record.time_s)
-        self._profile_id.append(
-            self._pool_profile(
-                IterationProfile(
-                    launches=record.launches,
-                    counters=record.counters,
-                    group_times=dict(record.group_times),
-                    kernel_names=record.kernel_names,
-                )
-            )
-        )
-
-    def absorb_many(self, records: Iterable["IterationRecord"]) -> None:
-        """Absorb an in-order batch of iteration records."""
-        for record in records:
-            self.absorb(record)
-
     def absorb_frame(
         self, frame: TraceFrame, start: int = 0, stop: int | None = None
     ) -> None:
         """Absorb ``frame[start:stop]`` as one columnar chunk.
 
-        The fast path for replayed traces: columns append as slices and
-        each distinct source profile maps through the pool once per
-        chunk instead of once per iteration, in first-appearance order.
+        Columns append as slices, and each distinct source profile maps
+        through the pool once per chunk, in first-appearance order.
         """
         stop = len(frame) if stop is None else stop
         if not 0 <= start <= stop <= len(frame):
@@ -242,9 +198,8 @@ class StreamingSlStatistics:
         # exact per-SL addition sequence: each SL's existing total rides
         # as a leading weight, and ``np.bincount`` folds weights
         # element by element in arrival order — so every total is the
-        # same left fold the record-at-a-time loop produces, bit for
-        # bit (``0.0 + old == old`` exactly for the seeded leading
-        # weight).
+        # same left fold one-iteration chunks produce, bit for bit
+        # (``0.0 + old == old`` exactly for the seeded leading weight).
         seq_lens, inverse = np.unique(seq_chunk, return_inverse=True)
         inverse = inverse.reshape(-1)
         bins = seq_lens.size
@@ -272,8 +227,8 @@ class StreamingSlStatistics:
         source_ids = frame.profile_id[start:stop]
         unique_ids, first_index = np.unique(source_ids, return_index=True)
         # Pool in first-appearance order (the dedupe_shapes idiom), as
-        # record-at-a-time absorption does, so the pooled ids and their
-        # order never depend on how the stream was chunked.
+        # one-iteration chunks do, so the pooled ids and their order
+        # never depend on how the stream was chunked.
         arrival = unique_ids[np.argsort(first_index, kind="stable")]
         lookup = np.zeros(int(unique_ids[-1]) + 1, dtype=np.int64)
         lookup[arrival] = np.fromiter(

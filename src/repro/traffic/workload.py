@@ -22,6 +22,7 @@ from repro.data.dataset import SequenceDataset
 from repro.errors import ConfigurationError
 from repro.train.frame import NO_TGT
 from repro.util.rng import derive_seed, make_rng
+from repro.util.stats import sequential_sum
 
 __all__ = ["TrafficPhase", "RequestSet", "sample_requests"]
 
@@ -129,7 +130,7 @@ def sample_requests(
         raise ConfigurationError("at least one traffic phase is required")
     lengths = dataset.lengths
     targets = dataset.tgt_lengths if dataset.has_targets else None
-    total_fraction = sum(phase.fraction for phase in phases)
+    total_fraction = sequential_sum(phase.fraction for phase in phases)
     allocation = [
         int(count * phase.fraction / total_fraction) for phase in phases
     ]

@@ -16,15 +16,16 @@ iterations are bit-identical before measurement noise.  A
   column mapping iterations onto it.
 
 :class:`~repro.train.trace.TrainingTrace` and
-:class:`~repro.train.trace.IterationRecord` remain as thin row-oriented
-views for API compatibility; they materialise from a frame on demand.
+:class:`~repro.train.trace.IterationRecord` are read-only row views
+over one frame; records are built from it on demand, and a record list
+becomes a frame once, through :meth:`TraceFrame.from_records`.
 
 Frames serialise to the binary columnar ``repro.training-trace.v3``
 container by default — an mmap-able ``.npt`` file whose cold load is a
 handful of zero-copy dtype views plus an O(unique shapes) profile-pool
-rebuild, no per-row parsing — with the compact columnar v2 JSON
-(``save(version=2)``, diffable) and legacy v1 row JSON still loading
-transparently.  All three round-trip bit-exactly: v3 stores the raw
+rebuild, no per-row parsing — or to the compact columnar v2 JSON
+(``save(version=2)``, diffable).  Legacy v1 row JSON still loads but is
+never written.  Every format round-trips bit-exactly: v3 stores the raw
 float64 column bytes, and JSON uses shortest-round-trip float repr.
 """
 
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Iterable, TypeVar
 
 import numpy as np
 
@@ -117,7 +118,6 @@ class TraceFrame:
         "profile_id",
         "_profiles",
         "storage",
-        "_source_records",
         "_memo",
     )
 
@@ -136,7 +136,6 @@ class TraceFrame:
         profiles: "tuple[IterationProfile, ...] | Callable[[], list[IterationProfile]]",
         autotune_s: float = 0.0,
         eval_s: float = 0.0,
-        source_records: tuple | None = None,
         storage: ColumnStore | None = None,
     ):
         if batch_size <= 0:
@@ -161,7 +160,6 @@ class TraceFrame:
         #: only); pins the mapping for the frame's lifetime and reports
         #: the real on-disk footprint to the cache's byte accounting.
         self.storage = storage
-        self._source_records = source_records
         self._memo: dict[str, Any] = {}
         n = self.index.size
         for name in ("epoch", "seq_len", "tgt_len", "time_s", "profile_id"):
@@ -191,11 +189,11 @@ class TraceFrame:
         dataset_name: str,
         config_name: str,
         batch_size: int,
-        records: "list[IterationRecord] | tuple[IterationRecord, ...]",
+        records: "Iterable[IterationRecord]",
         autotune_s: float = 0.0,
         eval_s: float = 0.0,
     ) -> "TraceFrame":
-        """Columnarise a row-oriented record list (the compat path)."""
+        """Columnarise a row-oriented record sequence, once."""
         records = tuple(records)
         pool: dict[tuple, int] = {}
         profiles: list[IterationProfile] = []
@@ -234,7 +232,6 @@ class TraceFrame:
             profiles=tuple(profiles),
             autotune_s=autotune_s,
             eval_s=eval_s,
-            source_records=records,
         )
 
     def slice(self, start: int, stop: int) -> "TraceFrame":
@@ -262,11 +259,6 @@ class TraceFrame:
             time_s=self.time_s[start:stop],
             profile_id=self.profile_id[start:stop],
             profiles=self._profiles,
-            source_records=(
-                None
-                if self._source_records is None
-                else self._source_records[start:stop]
-            ),
             storage=self.storage,
         )
 
@@ -275,8 +267,7 @@ class TraceFrame:
 
         The columns are copies and the profile pool is shared (and
         materialised), so the result keeps neither this frame nor its
-        columns alive.  Rows of a frame columnarised from records keep
-        their original record objects.
+        columns alive.
         """
         rows = np.asarray(rows, dtype=np.int64)
         return TraceFrame(
@@ -291,11 +282,6 @@ class TraceFrame:
             time_s=self.time_s[rows],
             profile_id=self.profile_id[rows],
             profiles=self.profiles,
-            source_records=(
-                None
-                if self._source_records is None
-                else tuple(self._source_records[i] for i in rows.tolist())
-            ),
         )
 
     def with_phases(self, autotune_s: float, eval_s: float) -> "TraceFrame":
@@ -314,7 +300,6 @@ class TraceFrame:
             profiles=self._profiles,
             autotune_s=autotune_s,
             eval_s=eval_s,
-            source_records=self._source_records,
             storage=self.storage,
         )
 
@@ -457,13 +442,7 @@ class TraceFrame:
         return None if value == NO_TGT else value
 
     def record(self, i: int) -> "IterationRecord":
-        """Materialise one row as an :class:`IterationRecord` view.
-
-        When the frame was columnarised from existing records the
-        original objects are returned, preserving identity.
-        """
-        if self._source_records is not None:
-            return self._source_records[i]
+        """Materialise one row as an :class:`IterationRecord` view."""
         from repro.train.trace import IterationRecord
 
         profile = self.profiles[int(self.profile_id[i])]
@@ -481,14 +460,12 @@ class TraceFrame:
             kernel_names=profile.kernel_names,
         )
 
-    def build_records(self) -> "list[IterationRecord]":
+    def build_records(self) -> "tuple[IterationRecord, ...]":
         """Materialise every row (the full row-oriented view)."""
-        if self._source_records is not None:
-            return list(self._source_records)
-        return [self.record(i) for i in range(len(self))]
+        return tuple(self.record(i) for i in range(len(self)))
 
     def to_trace(self) -> "TrainingTrace":
-        """Wrap this frame in the row-oriented compatibility view."""
+        """Wrap this frame in the read-only row-oriented view."""
         from repro.train.trace import TrainingTrace
 
         return TrainingTrace.from_frame(self)
@@ -531,14 +508,18 @@ class TraceFrame:
 
         Version 3 (the default) writes the binary columnar ``.npt``
         container; version 2 writes the diffable columnar JSON.  Both
-        load back bit-identically via :meth:`load`.
+        load back bit-identically via :meth:`load`.  Legacy v1 is
+        read-only.
         """
         if version == 3:
             self._save_npt(path)
         elif version == 2:
             dump_json(self.to_payload(), path, SCHEMA_V2)
         else:
-            raise TraceError(f"unknown trace format version {version!r}")
+            raise TraceError(
+                f"unknown trace format version {version!r}; writable "
+                "versions are 3 (binary) and 2 (JSON)"
+            )
 
     def _save_npt(self, path: str | Path) -> None:
         """Write the v3 binary container (columns + CSR profile pool).
@@ -767,8 +748,8 @@ class TraceFrame:
     def load(cls, path: str | Path) -> "TraceFrame":
         """Load a trace artefact of any supported schema version.
 
-        Binary v3 containers mmap and view (no row parsing); v2/v1
-        JSON parse as before.  All versions produce equal frames.
+        Binary v3 containers mmap and view (no row parsing); v2 and
+        legacy v1 JSON parse.  All versions produce equal frames.
         """
         if is_npt(path):
             return cls.load_npt(path)

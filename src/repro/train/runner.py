@@ -44,6 +44,7 @@ from repro.train.frame import (
 from repro.train.iteration import DEFAULT_HOST_OVERHEAD_S, IterationExecutor
 from repro.train.trace import TrainingTrace
 from repro.util.rng import derive_seed, make_rng
+from repro.util.stats import sequential_sum
 
 __all__ = ["TrainingRunSimulator", "memoized_shape_walk"]
 
@@ -165,7 +166,7 @@ class TrainingRunSimulator:
         plan = self.batching.plan_epoch(
             self.eval_dataset, epoch=epoch, seed=self.seed, drop_last=False
         )
-        return sum(
+        return sequential_sum(
             result.time_s
             for result in self.executor.run_unique(plan, "forward")
         )

@@ -5,17 +5,17 @@ sequence lengths and runtimes (step 1 of the paper's Fig 10 flowchart)
 plus the counters and kernel statistics the characterisation figures
 need.
 
-Since the columnar refactor the canonical storage is the numpy-backed
-:class:`~repro.train.frame.TraceFrame`; :class:`TrainingTrace` is the
-row-oriented compatibility view over it.  A trace constructed from
-records columnarises on demand; a trace constructed from a frame
-materialises :class:`IterationRecord` rows only when ``.records`` is
-actually touched.  Mutations of the record list are version-tracked so
-the cached frame is rebuilt exactly when it could have gone stale.
+The one trace form is the numpy-backed
+:class:`~repro.train.frame.TraceFrame`; :class:`TrainingTrace` is a
+read-only row-oriented view over exactly one frame.  A trace
+constructed from records is columnarised once, at construction; its
+``records`` are a tuple of :class:`IterationRecord` views built from
+the frame on first read.  Nothing about a trace changes after it is
+built.
 
-Traces serialise to the compact columnar ``repro.training-trace.v2``
-JSON schema (v1 files load transparently), so expensive epochs are
-generated once.
+Traces serialise to the binary columnar ``repro.training-trace.v3``
+container or the columnar ``repro.training-trace.v2`` JSON (legacy v1
+row files still load), so expensive epochs are generated once.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from typing import Iterable
 
 from repro.errors import TraceError
 from repro.hw.counters import CounterSet
-from repro.train.frame import SCHEMA_V1, TraceFrame
-from repro.util.serialize import dump_json
+from repro.train.frame import TraceFrame
 
 __all__ = ["IterationRecord", "TrainingTrace"]
 
@@ -57,48 +56,16 @@ class IterationRecord:
             )
 
 
-class _RecordList(list):
-    """A record list that version-stamps every mutation.
-
-    :meth:`TrainingTrace.frame` compares the stamp against the one its
-    cached frame was built from, so appends/clears through the public
-    ``records`` list invalidate the columnar cache without any copying.
-    """
-
-    __slots__ = ("version",)
-
-    def __init__(self, items: Iterable = ()):
-        super().__init__(items)
-        self.version = 0
-
-    def _bump(self) -> None:
-        self.version += 1
-
-
-def _mutator(name):
-    base = getattr(list, name)
-
-    def wrapped(self, *args, **kwargs):
-        self._bump()
-        return base(self, *args, **kwargs)
-
-    wrapped.__name__ = name
-    return wrapped
-
-
-for _name in (
-    "append", "extend", "insert", "remove", "pop", "clear", "sort",
-    "reverse", "__setitem__", "__delitem__", "__iadd__", "__imul__",
-):
-    setattr(_RecordList, _name, _mutator(_name))
-
-
 class TrainingTrace:
-    """An epoch (or more) of iteration records plus phase accounting.
+    """An epoch (or more) of iterations plus phase accounting.
 
-    Thin row-oriented view over a columnar :class:`TraceFrame`; all
-    aggregate statistics delegate to vectorized column operations.
+    A read-only row-oriented view over exactly one immutable
+    :class:`TraceFrame`: the metadata and one-off phase totals are read
+    from the frame, and all aggregate statistics delegate to vectorized
+    column operations.
     """
+
+    __slots__ = ("_frame", "_records")
 
     def __init__(
         self,
@@ -106,83 +73,69 @@ class TrainingTrace:
         dataset_name: str,
         config_name: str,
         batch_size: int,
-        records: Iterable[IterationRecord] | None = None,
+        records: Iterable[IterationRecord] = (),
         autotune_s: float = 0.0,
         eval_s: float = 0.0,
     ):
-        if batch_size <= 0:
-            raise TraceError("batch_size must be positive")
-        self.model_name = model_name
-        self.dataset_name = dataset_name
-        self.config_name = config_name
-        self.batch_size = batch_size
-        #: One-off autotune cost (paper §IV-C2; excluded from projections).
-        self.autotune_s = autotune_s
-        #: End-of-epoch evaluation phase (paper §IV-C1, the ~2-3%).
-        self.eval_s = eval_s
-        self._records: _RecordList | None = _RecordList(records or ())
-        self._frame: TraceFrame | None = None
-        self._frame_version = -1
+        self._frame = TraceFrame.from_records(
+            model_name=model_name,
+            dataset_name=dataset_name,
+            config_name=config_name,
+            batch_size=batch_size,
+            records=records,
+            autotune_s=autotune_s,
+            eval_s=eval_s,
+        )
+        self._records: tuple[IterationRecord, ...] | None = None
 
     @classmethod
     def from_frame(cls, frame: TraceFrame) -> "TrainingTrace":
         """Wrap a columnar frame without materialising any records."""
-        trace = cls(
-            model_name=frame.model_name,
-            dataset_name=frame.dataset_name,
-            config_name=frame.config_name,
-            batch_size=frame.batch_size,
-            autotune_s=frame.autotune_s,
-            eval_s=frame.eval_s,
-        )
-        trace._records = None
+        trace = cls.__new__(cls)
         trace._frame = frame
+        trace._records = None
         return trace
 
-    # -- the two representations --------------------------------------
+    # -- the frame and its row views ----------------------------------
 
     @property
-    def records(self) -> list[IterationRecord]:
-        """Row-oriented view; materialised from the frame on first use."""
+    def model_name(self) -> str:
+        return self._frame.model_name
+
+    @property
+    def dataset_name(self) -> str:
+        return self._frame.dataset_name
+
+    @property
+    def config_name(self) -> str:
+        return self._frame.config_name
+
+    @property
+    def batch_size(self) -> int:
+        return self._frame.batch_size
+
+    @property
+    def autotune_s(self) -> float:
+        """One-off autotune cost (paper §IV-C2; excluded from projections)."""
+        return self._frame.autotune_s
+
+    @property
+    def eval_s(self) -> float:
+        """End-of-epoch evaluation phase (paper §IV-C1, the ~2-3%)."""
+        return self._frame.eval_s
+
+    @property
+    def records(self) -> tuple[IterationRecord, ...]:
+        """Read-only row views, built from the frame on first read."""
         if self._records is None:
-            self._records = _RecordList(self._frame.build_records())
-            self._frame_version = self._records.version
+            self._records = self._frame.build_records()
         return self._records
 
-    @records.setter
-    def records(self, records: Iterable[IterationRecord]) -> None:
-        self._records = _RecordList(records)
-        self._frame = None
-        self._frame_version = -1
-
     def frame(self) -> TraceFrame:
-        """The canonical columnar form, rebuilt only after mutations."""
-        if self._records is None:
-            frame = self._frame
-        else:
-            if (
-                self._frame is None
-                or self._frame_version != self._records.version
-            ):
-                self._frame = TraceFrame.from_records(
-                    model_name=self.model_name,
-                    dataset_name=self.dataset_name,
-                    config_name=self.config_name,
-                    batch_size=self.batch_size,
-                    records=self._records,
-                    autotune_s=self.autotune_s,
-                    eval_s=self.eval_s,
-                )
-                self._frame_version = self._records.version
-            frame = self._frame
-        if frame.autotune_s != self.autotune_s or frame.eval_s != self.eval_s:
-            frame = frame.with_phases(self.autotune_s, self.eval_s)
-            self._frame = frame
-        return frame
+        """The canonical columnar form."""
+        return self._frame
 
     def __len__(self) -> int:
-        if self._records is not None:
-            return len(self._records)
         return len(self._frame)
 
     def __repr__(self) -> str:
@@ -205,7 +158,7 @@ class TrainingTrace:
             and self.records == other.records
         )
 
-    __hash__ = None  # mutable, like the former (unhashable) dataclass
+    __hash__ = None  # equality compares rows, which are not hashed
 
     # -- aggregate statistics (delegated to the columnar core) --------
 
@@ -248,40 +201,9 @@ class TrainingTrace:
     # -- persistence -------------------------------------------------
 
     def save(self, path: str | Path, *, version: int = 3) -> None:
-        """Persist the trace; ``version=3`` (binary columnar) is default.
-
-        ``version=2`` writes the columnar JSON schema (diffable);
-        ``version=1`` writes the legacy row-oriented schema for
-        interoperability with pre-columnar consumers.
-        """
-        if version in (2, 3):
-            self.frame().save(path, version=version)
-        elif version == 1:
-            payload = {
-                "model_name": self.model_name,
-                "dataset_name": self.dataset_name,
-                "config_name": self.config_name,
-                "batch_size": self.batch_size,
-                "autotune_s": self.autotune_s,
-                "eval_s": self.eval_s,
-                "records": [
-                    {
-                        "index": r.index,
-                        "epoch": r.epoch,
-                        "seq_len": r.seq_len,
-                        "tgt_len": r.tgt_len,
-                        "time_s": r.time_s,
-                        "launches": r.launches,
-                        "counters": r.counters.as_dict(),
-                        "group_times": r.group_times,
-                        "kernel_names": sorted(r.kernel_names),
-                    }
-                    for r in self.records
-                ],
-            }
-            dump_json(payload, path, SCHEMA_V1)
-        else:
-            raise TraceError(f"unknown trace format version {version!r}")
+        """Persist the trace: ``version=3`` binary columnar (default) or
+        ``version=2`` columnar JSON (diffable)."""
+        self._frame.save(path, version=version)
 
     @classmethod
     def load(cls, path: str | Path) -> "TrainingTrace":

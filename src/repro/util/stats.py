@@ -24,16 +24,22 @@ __all__ = [
 ]
 
 
-def sequential_sum(values: np.ndarray, initial: float = 0.0) -> float:
+def sequential_sum(
+    values: np.ndarray | Iterable[float], initial: float = 0.0
+) -> float:
     """Strict left-to-right float64 sum: ``((initial + v0) + v1) + ...``.
 
-    ``np.sum`` uses pairwise summation, which groups additions
-    differently from an accumulator loop and so produces different
-    low-order bits.  The simulation paths must reproduce the Python
-    accumulation of the scalar loops in ``tests/reference.py``
-    exactly, and ``np.cumsum`` is a running (left-fold) accumulation,
-    so its last element is the loop's result bit for bit.
+    ``np.sum`` uses pairwise summation, and Python 3.12+'s builtin
+    ``sum()`` compensates float rounding (Neumaier); both produce
+    different low-order bits from an accumulator loop.  Every float
+    total that reaches an answer goes through here, so the answers are
+    the same on every Python and reproduce the accumulation of the
+    scalar loops in ``tests/reference.py`` exactly: ``np.cumsum`` is a
+    running (left-fold) accumulation, so its last element is the
+    loop's result bit for bit.
     """
+    if not isinstance(values, np.ndarray):
+        values = np.fromiter(values, np.float64)
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         return float(initial)
@@ -47,7 +53,7 @@ def weighted_sum(values: Sequence[float], weights: Sequence[float]) -> float:
             f"values and weights must have equal length "
             f"({len(values)} != {len(weights)})"
         )
-    return float(sum(w * v for v, w in zip(values, weights)))
+    return sequential_sum(w * v for v, w in zip(values, weights))
 
 
 def weighted_average(values: Sequence[float], weights: Sequence[float]) -> float:
@@ -56,7 +62,7 @@ def weighted_average(values: Sequence[float], weights: Sequence[float]) -> float
     The paper notes that ratio statistics (throughput, IPC) must be
     normalised by the sum of all weights.
     """
-    total_weight = float(sum(weights))
+    total_weight = sequential_sum(weights)
     if total_weight <= 0.0:
         raise ValueError("weights must sum to a positive value")
     return weighted_sum(values, weights) / total_weight
@@ -67,7 +73,7 @@ def mean(values: Iterable[float]) -> float:
     items = list(values)
     if not items:
         raise ValueError("mean of an empty sequence is undefined")
-    return float(sum(items)) / len(items)
+    return sequential_sum(items) / len(items)
 
 
 def median(values: Iterable[float]) -> float:

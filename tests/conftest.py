@@ -1,8 +1,10 @@
 """Shared test fixtures.
 
 ``make_record``/``make_trace`` build synthetic traces so the core
-methodology is testable without simulating a network; the device and
-model fixtures cover the substrate tests.  Everything is deterministic.
+methodology is testable without simulating a network; every trace
+built from records goes through ``trace_of``, and every feed chunk of
+records through ``chunk_of``.  The device and model fixtures cover the
+substrate tests.  Everything is deterministic.
 """
 
 from __future__ import annotations
@@ -12,8 +14,10 @@ import pytest
 from repro.hw.config import paper_config
 from repro.hw.counters import CounterSet
 from repro.hw.device import GpuDevice
-from repro.train.frame import TraceFrame
+from repro.stream.feed import FrameSlice
+from repro.train.frame import SCHEMA_V1, TraceFrame
 from repro.train.trace import IterationRecord, TrainingTrace
+from repro.util.serialize import dump_json
 
 
 @pytest.fixture(scope="session")
@@ -51,22 +55,86 @@ def make_record(
     )
 
 
+def trace_of(
+    records,
+    model_name: str = "toy",
+    dataset_name: str = "synthetic",
+    config_name: str = "config#1",
+    batch_size: int = 64,
+    autotune_s: float = 0.0,
+    eval_s: float = 0.0,
+) -> TrainingTrace:
+    """A trace of ``records``, in order: the one way tests turn rows
+    into a trace (columnarised once, read-only afterwards)."""
+    return TrainingTrace(
+        model_name=model_name,
+        dataset_name=dataset_name,
+        config_name=config_name,
+        batch_size=batch_size,
+        records=records,
+        autotune_s=autotune_s,
+        eval_s=eval_s,
+    )
+
+
 def make_trace(
     seq_len_times: list[tuple[int, float]],
     model_name: str = "toy",
     config_name: str = "config#1",
     batch_size: int = 64,
+    autotune_s: float = 0.0,
+    eval_s: float = 0.0,
 ) -> TrainingTrace:
     """A synthetic trace from (seq_len, time_s) pairs, in order."""
-    trace = TrainingTrace(
+    return trace_of(
+        [
+            make_record(index, seq_len, time_s)
+            for index, (seq_len, time_s) in enumerate(seq_len_times)
+        ],
         model_name=model_name,
-        dataset_name="synthetic",
         config_name=config_name,
         batch_size=batch_size,
+        autotune_s=autotune_s,
+        eval_s=eval_s,
     )
-    for index, (seq_len, time_s) in enumerate(seq_len_times):
-        trace.records.append(make_record(index, seq_len, time_s))
-    return trace
+
+
+def chunk_of(records) -> FrameSlice:
+    """A feed chunk of ``records``: one frame of their own, whole —
+    the shape of a live producer's upload."""
+    frame = trace_of(records).frame()
+    return FrameSlice(frame, 0, len(frame))
+
+
+def dump_v1(trace: TrainingTrace, path) -> None:
+    """Write ``trace`` as a legacy row-oriented v1 document.
+
+    The library reads v1 but no longer writes it; tests write it here
+    to check the reader.
+    """
+    payload = {
+        "model_name": trace.model_name,
+        "dataset_name": trace.dataset_name,
+        "config_name": trace.config_name,
+        "batch_size": trace.batch_size,
+        "autotune_s": trace.autotune_s,
+        "eval_s": trace.eval_s,
+        "records": [
+            {
+                "index": r.index,
+                "epoch": r.epoch,
+                "seq_len": r.seq_len,
+                "tgt_len": r.tgt_len,
+                "time_s": r.time_s,
+                "launches": r.launches,
+                "counters": r.counters.as_dict(),
+                "group_times": r.group_times,
+                "kernel_names": sorted(r.kernel_names),
+            }
+            for r in trace.records
+        ],
+    }
+    dump_json(payload, path, SCHEMA_V1)
 
 
 def with_time(frame: TraceFrame, row: int, time_s: float) -> TraceFrame:

@@ -29,6 +29,7 @@ from repro.traffic.simulator import ServedTraffic
 from repro.train.frame import NO_TGT, IterationProfile, TraceFrame
 from repro.train.iteration import IterationResult
 from repro.train.trace import IterationRecord, TrainingTrace
+from tests.conftest import trace_of
 
 # ---- kernels ----------------------------------------------------------
 
@@ -168,7 +169,11 @@ class ReferenceTrainer:
         plan = sim.batching.plan_epoch(
             sim.eval_dataset, epoch=epoch, seed=sim.seed, drop_last=False
         )
-        return sum(self.executor.run_forward(inputs).time_s for inputs in plan)
+        # A left fold, not sum(): Python 3.12+ compensates float sums.
+        total = 0.0
+        for inputs in plan:
+            total += self.executor.run_forward(inputs).time_s
+        return total
 
     def run_epoch(self, epoch: int = 0, include_eval: bool = True) -> TrainingTrace:
         sim = self.simulator
@@ -178,22 +183,24 @@ class ReferenceTrainer:
                 f"{sim.dataset.name}: dataset too small for one "
                 f"batch of {sim.batching.batch_size}"
             )
-        trace = TrainingTrace(
+        records = []
+        autotune_s = 0.0
+        for index, inputs in enumerate(plan):
+            result = self.executor.run(inputs)
+            for shape in result.gemm_shapes:
+                autotune_s += self.autotuner.charge(*shape)
+            records.append(
+                _record(index, epoch, inputs, result, sim._noise(epoch, index))
+            )
+        return trace_of(
+            records,
             model_name=sim.model.name,
             dataset_name=sim.dataset.name,
             config_name=sim.device.config.name,
             batch_size=sim.batching.batch_size,
+            autotune_s=autotune_s,
+            eval_s=self.eval_phase_time(epoch) if include_eval else 0.0,
         )
-        for index, inputs in enumerate(plan):
-            result = self.executor.run(inputs)
-            for shape in result.gemm_shapes:
-                trace.autotune_s += self.autotuner.charge(*shape)
-            trace.records.append(
-                _record(index, epoch, inputs, result, sim._noise(epoch, index))
-            )
-        if include_eval:
-            trace.eval_s = self.eval_phase_time(epoch)
-        return trace
 
 
 def run_pass_reference(simulator, epoch: int = 0) -> TrainingTrace:
@@ -208,16 +215,16 @@ def run_pass_reference(simulator, epoch: int = 0) -> TrainingTrace:
         )
     if not plan:
         raise ConfigurationError(f"{sim.dataset.name}: no requests to serve")
-    trace = TrainingTrace(
+    return trace_of(
+        [
+            _record(index, epoch, inputs, executor.run_forward(inputs), sim._noise(index))
+            for index, inputs in enumerate(plan)
+        ],
         model_name=f"{sim.model.name}-inference",
         dataset_name=sim.dataset.name,
         config_name=sim.device.config.name,
         batch_size=sim.batching.batch_size,
     )
-    for index, inputs in enumerate(plan):
-        result = executor.run_forward(inputs)
-        trace.records.append(_record(index, epoch, inputs, result, sim._noise(index)))
-    return trace
 
 
 # ---- serving ----------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from repro.api.cache import TraceCache, trace_nbytes
 from repro.cli import main
 
-from tests.conftest import make_trace
+from tests.conftest import dump_v1, make_trace
 
 
 def small_trace(time_s: float = 1.0) -> object:
@@ -120,6 +120,20 @@ class TestDisk:
         cache.clear()
         assert cache.get("k") is not None
 
+    @pytest.mark.parametrize("writer", [dump_v1, lambda t, p: t.save(p, version=2)])
+    def test_legacy_json_entry_is_a_miss(self, tmp_path, writer):
+        legacy = tmp_path / "k.json"
+        writer(small_trace(0.5), legacy)
+        cache = TraceCache(tmp_path)
+        assert "k" not in cache
+        assert cache.get("k") is None
+        trace = cache.get_or_compute("k", lambda: small_trace(0.5))
+        assert trace.records == small_trace(0.5).records
+        assert cache.stats()["misses"] == 2
+        assert (tmp_path / "k.npt").exists()
+        assert legacy.exists()  # left alone, not quarantined
+        assert not (tmp_path / "k.json.corrupt").exists()
+
 
 @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
 class TestCorruptArtefacts:
@@ -230,7 +244,7 @@ class TestBinaryStorage:
         cache = TraceCache()
         assert cache.storage_stats() == {
             "directory": None,
-            "disk_entries": {"json": 0, "binary": 0},
+            "disk_entries": {"binary": 0},
             "cold_loads": {},
         }
 
@@ -239,15 +253,15 @@ class TestBinaryStorage:
         small_trace().save(tmp_path / "bb.json", version=2)  # legacy artefact
         cache = TraceCache(tmp_path)
         assert cache.get("aa") is not None
-        assert cache.get("bb") is not None
+        assert cache.get("bb") is None
         stats = cache.storage_stats()
         assert stats["directory"] == str(tmp_path)
-        assert stats["disk_entries"] == {"json": 1, "binary": 1}
-        for fmt in ("binary", "json"):
-            entry = stats["cold_loads"][fmt]
-            assert entry["count"] == 1
-            assert entry["seconds"] >= 0.0
-            assert entry["max_s"] >= entry["seconds"] / entry["count"]
+        assert stats["disk_entries"] == {"binary": 1}
+        assert list(stats["cold_loads"]) == ["binary"]
+        entry = stats["cold_loads"]["binary"]
+        assert entry["count"] == 1
+        assert entry["seconds"] >= 0.0
+        assert entry["max_s"] >= entry["seconds"] / entry["count"]
         # Memory hits are not cold loads.
         cache.get("aa")
         assert cache.storage_stats()["cold_loads"]["binary"]["count"] == 1

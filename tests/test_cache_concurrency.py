@@ -2,9 +2,9 @@
 
 Two worker processes racing on one key must produce exactly one
 simulation: the winner computes under the per-key file lock and the
-loser loads the winner's artefact as a disk hit.  Legacy (v1) cache
-directories must keep working when served to the process-parallel
-sweep path.
+loser loads the winner's artefact as a disk hit.  A legacy JSON entry
+left in a cache directory is a miss on the process-parallel sweep path,
+simulated again to the same answer.
 """
 
 import multiprocessing
@@ -14,6 +14,7 @@ from pathlib import Path
 
 from repro.api import AnalysisEngine, SweepSpec, run_sweep
 from repro.api.spec import AnalysisSpec
+from tests.conftest import dump_v1, trace_of
 
 KEY = "deadbeef" * 8
 SCALE = 0.01
@@ -22,7 +23,7 @@ SCALE = 0.01
 def _build_trace(directory: str):
     """A cheap synthetic trace; touching a sentinel records the compute."""
     from repro.hw.counters import CounterSet
-    from repro.train.trace import IterationRecord, TrainingTrace
+    from repro.train.trace import IterationRecord
 
     (Path(directory) / f"simulated.{os.getpid()}").touch()
     time.sleep(0.2)  # widen the race window
@@ -40,7 +41,9 @@ def _build_trace(directory: str):
         )
         for index in range(3)
     ]
-    return TrainingTrace("m", "d", "c", 4, records=records)
+    return trace_of(
+        records, model_name="m", dataset_name="d", config_name="c", batch_size=4
+    )
 
 
 def _cache_worker(directory, barrier, results):
@@ -82,12 +85,12 @@ class TestConcurrentAccess:
 
 
 class TestLegacyArtefacts:
-    def test_v1_cache_dir_serves_the_parallel_path(self, tmp_path):
+    def test_legacy_json_entry_is_simulated_again(self, tmp_path):
         spec = AnalysisSpec(network="gnmt", scale=SCALE)
         engine = AnalysisEngine()
-        trace = engine.trace_for(spec)
-        path = tmp_path / f"{engine.trace_key(spec)}.json"
-        trace.save(path, version=1)  # a pre-columnar cache directory
+        key = engine.trace_key(spec)
+        path = tmp_path / f"{key}.json"
+        dump_v1(engine.trace_for(spec), path)  # a pre-binary cache directory
         stamp = path.stat().st_mtime_ns
 
         sweep = SweepSpec(networks=("gnmt",), scales=(SCALE,))
@@ -95,7 +98,8 @@ class TestLegacyArtefacts:
 
         expected = [engine.run(point).to_dict() for point in sweep.expand()]
         assert [r.to_dict() for r in run.results] == expected
-        # The v1 artefact satisfied the workers as-is: nothing re-simulated
-        # or rewrote it.
+        # The JSON entry was a miss: the workers simulated the epoch
+        # again into the binary format and left the old file alone.
+        assert (tmp_path / f"{key}.npt").exists()
         assert path.stat().st_mtime_ns == stamp
         assert list(tmp_path.glob("*.json")) == [path]

@@ -539,6 +539,15 @@ class TestTraceConvert:
         assert "unknown trace format version 99" in err
         assert "Traceback" not in err
 
+    def test_v1_is_not_a_target(self, tmp_path, capsys):
+        src, dst = tmp_path / "t.json", tmp_path / "o.json"
+        self.seed_trace().save(src, version=2)
+        assert main(["trace", "convert", str(src), str(dst), "--to", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("trace: unknown trace format version 1")
+        assert not dst.exists()
+
     def test_missing_source_clean_error(self, tmp_path, capsys):
         assert main(
             ["trace", "convert", str(tmp_path / "absent.json"),

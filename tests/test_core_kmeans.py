@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.kmeans import KMeansSelector, kmeans_cluster
 from repro.errors import SelectionError
-from tests.conftest import make_record, make_trace
+from tests.conftest import make_record, trace_of
 from repro.train.trace import TrainingTrace
 
 
@@ -43,19 +43,14 @@ class TestKMeansCluster:
 class TestKMeansSelector:
     def group_trace(self) -> TrainingTrace:
         """Two distinct execution-profile populations."""
-        trace = make_trace([])
-        index = 0
-        for sl in (10, 12, 14):
-            trace.records.append(
-                make_record(index, sl, 1.0, group_times={"GEMM-1": 0.9, "reduce": 0.1})
-            )
-            index += 1
-        for sl in (90, 95, 99):
-            trace.records.append(
-                make_record(index, sl, 5.0, group_times={"GEMM-1": 0.2, "reduce": 4.8})
-            )
-            index += 1
-        return trace
+        records = [
+            make_record(index, sl, 1.0, group_times={"GEMM-1": 0.9, "reduce": 0.1})
+            for index, sl in enumerate((10, 12, 14))
+        ] + [
+            make_record(index, sl, 5.0, group_times={"GEMM-1": 0.2, "reduce": 4.8})
+            for index, sl in enumerate((90, 95, 99), start=3)
+        ]
+        return trace_of(records)
 
     def test_clusters_by_profile(self):
         selection = KMeansSelector(k=2, seed=0).select(self.group_trace())

@@ -10,8 +10,7 @@ from repro.core.seqpoint import SeqPointSelector
 from repro.core.sl_stats import SlStatistics
 from repro.errors import TraceError
 from repro.stream import StreamingSlStatistics
-from repro.train.trace import TrainingTrace
-from tests.conftest import make_record, make_trace, with_time
+from tests.conftest import make_record, make_trace, trace_of, with_time
 
 
 class TestSlStatistics:
@@ -49,8 +48,7 @@ class TestSlStatistics:
             stats.for_seq_len(99)
 
     def test_empty_trace_raises(self):
-        trace = make_trace([(10, 1.0)])
-        trace.records.clear()
+        trace = make_trace([])
         with pytest.raises(TraceError):
             SlStatistics.from_trace(trace)
 
@@ -70,7 +68,7 @@ class TestLazyRepresentatives:
     def test_record_frames_keep_their_record_objects(self):
         trace = make_trace([(10, 1.0), (10, 2.0), (10, 1.4), (20, 5.0)])
         stat = SlStatistics.from_trace(trace).for_seq_len(10)
-        assert stat.representative is trace.records[2]
+        assert stat.representative == trace.records[2]
         assert stat.representative is stat.representative
 
     def test_equality_compares_representatives(self):
@@ -117,15 +115,8 @@ class TestLazyRepresentatives:
 class TestNonFiniteTimes:
     def test_group_by_names_the_iteration(self):
         pairs = [(10, 1.0), (20, 2.0), (10, 1.5)]
-        trace = TrainingTrace(
-            "toy",
-            "synthetic",
-            "config#1",
-            64,
-            records=[
-                make_record(100 + i, sl, time_s)
-                for i, (sl, time_s) in enumerate(pairs)
-            ],
+        trace = trace_of(
+            [make_record(100 + i, sl, time_s) for i, (sl, time_s) in enumerate(pairs)]
         )
         bad = with_time(trace.frame(), 1, math.nan)
         with pytest.raises(TraceError, match=r"^iteration 101: non-finite time nan$"):

@@ -81,12 +81,6 @@ class TestSchema:
         trace.save(out, version=2)
         assert json.loads(out.read_text()) == json.loads(V2.read_text())
 
-    def test_v1_round_trips_byte_identically(self, tmp_path):
-        trace = TrainingTrace.load(V1)
-        out = tmp_path / "resaved.json"
-        trace.save(out, version=1)
-        assert json.loads(out.read_text()) == json.loads(V1.read_text())
-
     def test_cross_version_save_converges(self, tmp_path):
         """v1 -> save v2 -> load equals a straight v2 load."""
         out = tmp_path / "upgraded.json"

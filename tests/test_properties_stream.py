@@ -13,7 +13,7 @@ from repro.stream import (
     segment_frame,
     sl_mix_drift,
 )
-from tests.conftest import make_trace
+from tests.conftest import chunk_of, make_trace
 
 sl_time_pairs = st.lists(
     st.tuples(
@@ -240,11 +240,13 @@ def test_zero_previous_mean_treats_any_change_as_drift(state, new_mean):
 @given(sl_time_pairs)
 @settings(max_examples=40)
 def test_absorb_paths_agree(pairs):
-    """Record-by-record and columnar absorption are interchangeable."""
+    """One frame per record (a live producer posting one at a time) and
+    one whole-frame chunk are interchangeable."""
     trace = make_trace(pairs)
     frame = trace.frame()
     by_record = StreamingSlStatistics.for_frame(frame)
-    by_record.absorb_many(trace.records)
+    for record in trace.records:
+        by_record.absorb_frame(chunk_of([record]).frame)
     by_frame = StreamingSlStatistics.for_frame(frame)
     by_frame.absorb_frame(frame, 0, len(frame))
     assert by_record.statistics() == by_frame.statistics()

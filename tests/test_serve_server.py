@@ -356,9 +356,10 @@ class TestStorageStats:
     def test_one_cold_load_of_each_format(self, tmp_path):
         from repro.models.plan import PLAN_CACHE
 
-        # Seed the shared cache directory with one artefact per format:
-        # a binary .npt written by a sibling engine, and spec_b's trace
-        # planted by hand as a legacy v2 JSON artefact under its key.
+        # Seed the shared cache directory with a binary .npt written by
+        # a sibling engine, and spec_b's trace planted by hand as a
+        # legacy v2 JSON artefact under its key.  Binary is the one
+        # format the cache reads: the JSON entry is a miss.
         spec_a = AnalysisSpec(network="gnmt", scale=0.02, seed=0)
         spec_b = AnalysisSpec(network="gnmt", scale=0.02, seed=1)
         seeder = AnalysisEngine(cache=TraceCache(tmp_path))
@@ -385,11 +386,13 @@ class TestStorageStats:
             _, envelope, _ = app.handle("GET", "/stats")
             storage = envelope["storage"]
             assert storage["directory"] == str(tmp_path)
-            assert storage["disk_entries"] == {"json": 1, "binary": 1}
-            for fmt in ("binary", "json"):
-                entry = storage["cold_loads"][fmt]
-                assert entry["count"] == 1
-                assert entry["max_ms"] >= entry["mean_ms"] >= 0.0
+            # spec_b was simulated again and stored as binary.
+            assert storage["disk_entries"] == {"binary": 2}
+            assert list(storage["cold_loads"]) == ["binary"]
+            entry = storage["cold_loads"]["binary"]
+            assert entry["count"] == 1
+            assert entry["max_ms"] >= entry["mean_ms"] >= 0.0
+            assert envelope["cache"]["misses"] == 1
             plan_store = storage["plan_store"]
             assert plan_store["entries"] > 0
             assert plan_store["misses"] > 0
@@ -402,6 +405,66 @@ class TestStorageStats:
         assert storage["directory"] is None
         assert storage["cold_loads"] == {}
         assert storage["plan_store"] is None
+
+
+class TestHostileFeeds:
+    """A rejected live chunk is refused whole, before anything is
+    absorbed: the session goes on as if it had never been sent."""
+
+    GOOD = [{"seq_len": 12, "time_s": 0.15, "tgt_len": 9, "epoch": 1}]
+
+    @staticmethod
+    def run_session(app, chunks):
+        """Open a live session, feed ``chunks``, finish; the envelopes."""
+        spec = StreamSpec(analysis=ANALYSIS, cadence=4, patience=99)
+        _, envelope, _ = app.handle("POST", "/stream", {"spec": spec.to_dict()})
+        session_id = envelope["session"]["id"]
+        feeds = [
+            app.handle("POST", f"/stream/{session_id}/feed", {"records": chunk})
+            for chunk in chunks
+        ]
+        finish = app.handle("POST", f"/stream/{session_id}/finish")
+        return feeds, finish
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"tgt_len": "abc"},
+            {"tgt_len": 2.7},
+            {"tgt_len": -5},
+            {"tgt_len": 0},
+            {"tgt_len": True},
+            {"epoch": -1},
+            {"epoch": 1.5},
+            {"epoch": "0"},
+            {"time_s": float("inf")},
+            {"time_s": float("nan")},
+            {"time_s": -0.1},
+            {"time_s": 10**400},
+            {"seq_len": 2.7},
+            {"seq_len": "12"},
+            {"seq_len": 2**63},
+        ],
+        ids=lambda bad: ",".join(f"{k}={v!r}" for k, v in bad.items())[:24],
+    )
+    def test_rejected_chunk_leaves_the_session_untouched(self, app, bad):
+        prefix = CYCLE * 3
+        hostile = CYCLE + [{**CYCLE[0], **bad}]
+        feeds, finish = self.run_session(app, [prefix, hostile, self.GOOD])
+        status, envelope, _ = feeds[1]
+        assert status == 400
+        assert envelope["ok"] is False
+        assert "\n" not in envelope["error"]["message"]
+        assert envelope["error"]["message"].startswith("records[4]")
+
+        clean_feeds, clean_finish = self.run_session(app, [prefix, self.GOOD])
+        assert feeds[2][1]["session"]["iterations_consumed"] == len(prefix) + 1
+        assert (
+            feeds[2][1]["session"]["last_check"]
+            == clean_feeds[1][1]["session"]["last_check"]
+        )
+        assert finish[0] == clean_finish[0] == 200
+        assert finish[1]["result"] == clean_finish[1]["result"]
 
 
 class TestConcurrentSessions:

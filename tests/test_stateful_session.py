@@ -1,10 +1,11 @@
 """Stateful test (hypothesis): an IdentificationSession under any feeding.
 
-A session takes slices, record chunks, reads and ``finish()`` in any
-order.  Its checks and final run must match a reference session fed the
-same iterations one at a time, with every iteration absorbed as it
-arrives, and ``iterations_consumed`` must count every fed iteration
-after every step.
+A session takes slices, record chunks (each a one-chunk frame of its
+own, the live feed's shape), reads and ``finish()`` in any order.  Its
+checks and final run must match a reference session fed the same
+iterations one at a time, with every iteration absorbed as it arrives,
+and ``iterations_consumed`` must count every fed iteration after every
+step.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from hypothesis.stateful import (
 from repro.core.seqpoint import SeqPointSelector
 from repro.errors import ConfigurationError
 from repro.stream import FrameSlice, StreamingIdentifier, StreamingSlStatistics
-from tests.conftest import make_trace
+from tests.conftest import chunk_of, make_trace
 
 sl_time_pairs = st.lists(
     st.tuples(
@@ -105,8 +106,8 @@ class SessionFeeding(RuleBasedStateMachine):
     @rule(start=positions, size=sizes)
     def record_chunk(self, start, size):
         chunk = self.records[start : start + size]
-        self.session.absorb(chunk)
-        self.feed_reference([record] for record in chunk)
+        self.session.absorb(chunk_of(chunk))
+        self.feed_reference(chunk_of([record]) for record in chunk)
 
     def assert_same_stats(self, stats, expected):
         assert len(stats) == self.fed

@@ -16,7 +16,7 @@ from repro.train.frame import SCHEMA_V3, TraceFrame
 from repro.train.trace import TrainingTrace
 from repro.util.npt import MAGIC, ColumnStore, is_npt, write_columns
 
-from tests.conftest import make_record, make_trace
+from tests.conftest import dump_v1, make_record, make_trace, trace_of
 
 
 class TestContainer:
@@ -104,17 +104,19 @@ class TestContainer:
 
 
 def seq2seq_trace() -> TrainingTrace:
-    trace = TrainingTrace("m", "d", "c", 32)
-    trace.records.extend(
+    return trace_of(
         [
             make_record(0, 10, 1.0, tgt_len=8),
             make_record(1, 20, 2.0, group_times={"GEMM-2": 0.25, "GEMM-1": 1.5}),
             make_record(2, 10, 1.0, tgt_len=8),
-        ]
+        ],
+        model_name="m",
+        dataset_name="d",
+        config_name="c",
+        batch_size=32,
+        autotune_s=1.25,
+        eval_s=0.75,
     )
-    trace.autotune_s = 1.25
-    trace.eval_s = 0.75
-    return trace
 
 
 def payload_of(trace: TrainingTrace) -> str:
@@ -139,10 +141,11 @@ class TestTraceV3:
     def test_all_versions_load_bit_identically(self, tmp_path):
         trace = seq2seq_trace()
         expected = payload_of(trace)
-        for version, name in ((1, "v1.json"), (2, "v2.json"), (3, "v3.npt")):
-            path = tmp_path / name
-            trace.save(path, version=version)
-            assert payload_of(TrainingTrace.load(path)) == expected
+        dump_v1(trace, tmp_path / "v1.json")
+        trace.save(tmp_path / "v2.json", version=2)
+        trace.save(tmp_path / "v3.npt", version=3)
+        for name in ("v1.json", "v2.json", "v3.npt"):
+            assert payload_of(TrainingTrace.load(tmp_path / name)) == expected
 
     def test_no_tgt_sentinel_survives(self, tmp_path):
         trace = make_trace([(10, 1.0), (20, 2.0)])

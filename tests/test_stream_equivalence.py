@@ -19,6 +19,7 @@ from repro.stream import (
     TraceReplayFeed,
 )
 from repro.train.frame import TraceFrame
+from tests.conftest import chunk_of
 
 SCALE = 0.01
 
@@ -70,7 +71,8 @@ class TestChunkingBitIdentity:
         spec = AnalysisSpec(network="gnmt", scale=SCALE)
         frame = engine.frame_for(spec)
         via_records = StreamingSlStatistics.for_frame(frame)
-        via_records.absorb_many(engine.trace_for(spec).records)
+        for record in engine.trace_for(spec).records:
+            via_records.absorb_frame(chunk_of([record]).frame)
         via_frame = StreamingSlStatistics.for_frame(frame)
         via_frame.absorb_frame(frame, 0, len(frame))
         assert via_records.statistics() == via_frame.statistics()

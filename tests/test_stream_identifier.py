@@ -11,7 +11,7 @@ from repro.stream import (
     replay,
 )
 from repro.stream.feed import FrameSlice
-from tests.conftest import make_trace, with_time
+from tests.conftest import chunk_of, make_trace, with_time
 
 #: A perfectly periodic stream: the per-SL means never move, so the
 #: selection stabilises as soon as the window allows.
@@ -263,7 +263,7 @@ class TestFeeds:
         from_slices = identifier.run(replay(frame, chunk_size=5))
         records = trace.records
         from_records = identifier.run(
-            [records[i : i + 5] for i in range(0, len(records), 5)]
+            [chunk_of(records[i : i + 5]) for i in range(0, len(records), 5)]
         )
         assert from_slices.converged == from_records.converged
         assert from_slices.iterations_consumed == from_records.iterations_consumed
@@ -331,17 +331,28 @@ class TestIdentificationSession:
         assert pushed.projected_prefix_total_s == pulled.projected_prefix_total_s
 
     def test_session_accepts_record_chunks(self):
+        # Each record chunk is a frame of its own, as a live upload is.
         records = periodic_trace(30).records
         identifier = StreamingIdentifier(SeqPointSelector(), cadence=12, patience=2)
         session = identifier.begin()
         for start in range(0, len(records), 7):
-            if session.absorb(records[start : start + 7]):
+            if session.absorb(chunk_of(records[start : start + 7])):
                 break
         run = session.finish()
-        reference = identifier.run([records])
+        reference = identifier.run([chunk_of(records)])
         assert run.converged == reference.converged
         assert run.iterations_consumed == reference.iterations_consumed
+        assert [c.to_dict() for c in run.checks] == [
+            c.to_dict() for c in reference.checks
+        ]
         assert run.selection.method == reference.selection.method
+
+    def test_only_frame_slices_are_absorbed(self):
+        session = StreamingIdentifier(SeqPointSelector()).begin()
+        records = periodic_trace(1).records
+        with pytest.raises(ConfigurationError, match="^feed chunks must be FrameSlice, got tuple$"):
+            session.absorb(records)
+        assert session.iterations_consumed == 0
 
     def test_absorb_after_convergence_is_a_noop(self):
         frame = periodic_trace(40).frame()

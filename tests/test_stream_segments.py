@@ -19,7 +19,7 @@ from repro.stream import (
 )
 from repro.train.frame import TraceFrame
 from repro.train.trace import TrainingTrace
-from tests.conftest import make_record, make_trace, with_time
+from tests.conftest import make_record, make_trace, trace_of, with_time
 
 #: A stationary cycle (regime A) and a disjoint, slower one (regime B).
 REGIME_A = [(10, 0.1), (20, 0.2), (30, 0.3), (40, 0.4)]
@@ -39,20 +39,17 @@ def monotone_frame(steps: int = 6, run: int = 32):
 
 
 def epoch_trace(pairs_by_epoch: list[list[tuple[int, float]]]) -> TrainingTrace:
-    trace = TrainingTrace(
-        model_name="toy",
-        dataset_name="synthetic",
-        config_name="config#1",
-        batch_size=64,
+    rows = [
+        (epoch, seq_len, time_s)
+        for epoch, pairs in enumerate(pairs_by_epoch)
+        for seq_len, time_s in pairs
+    ]
+    return trace_of(
+        [
+            make_record(index, seq_len, time_s, epoch=epoch)
+            for index, (epoch, seq_len, time_s) in enumerate(rows)
+        ]
     )
-    index = 0
-    for epoch, pairs in enumerate(pairs_by_epoch):
-        for seq_len, time_s in pairs:
-            trace.records.append(
-                make_record(index, seq_len, time_s, epoch=epoch)
-            )
-            index += 1
-    return trace
 
 
 class TestSegment:

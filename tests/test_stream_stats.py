@@ -9,7 +9,7 @@ from repro.core.sl_stats import SlStatistics
 from repro.errors import TraceError
 from repro.stream import StreamingSlStatistics
 from repro.train.frame import TraceFrame
-from tests.conftest import make_record, make_trace, with_time
+from tests.conftest import chunk_of, make_record, make_trace, with_time
 
 PAIRS = [
     (20, 0.20), (10, 0.11), (20, 0.22), (30, 0.29), (10, 0.10),
@@ -24,14 +24,15 @@ def frame() -> TraceFrame:
 
 class TestAbsorb:
     def test_record_by_record_matches_batch(self, frame):
+        # One frame per record: a live producer posting one at a time.
         stats = StreamingSlStatistics.for_frame(frame)
         for record in make_trace(PAIRS).records:
-            stats.absorb(record)
+            stats.absorb_frame(chunk_of([record]).frame)
         assert stats.statistics() == SlStatistics.from_trace(frame)
 
-    def test_absorb_many_matches_batch(self, frame):
+    def test_record_chunk_matches_batch(self, frame):
         stats = StreamingSlStatistics.for_frame(frame)
-        stats.absorb_many(make_trace(PAIRS).records)
+        stats.absorb_frame(chunk_of(make_trace(PAIRS).records).frame)
         assert stats.statistics() == SlStatistics.from_trace(frame)
 
     def test_frame_chunks_match_batch(self, frame):
@@ -43,7 +44,7 @@ class TestAbsorb:
 
     def test_mixed_record_and_frame_absorbs(self, frame):
         stats = StreamingSlStatistics.for_frame(frame)
-        stats.absorb_many(make_trace(PAIRS).records[:4])
+        stats.absorb_frame(chunk_of(make_trace(PAIRS).records[:4]).frame)
         stats.absorb_frame(frame, 4, len(frame))
         assert stats.statistics() == SlStatistics.from_trace(frame)
 
@@ -76,19 +77,20 @@ class TestValidation:
 
     def test_non_positive_time_rejected(self):
         stats = StreamingSlStatistics()
-        bad = make_record(0, 10, 1.0)
-        object.__setattr__(bad, "time_s", -1.0)
+        bad = chunk_of([make_record(0, 10, 1.0)]).frame
+        bad.time_s[0] = -1.0  # past the frame's own construction check
         with pytest.raises(TraceError, match="non-positive"):
-            stats.absorb(bad)
+            stats.absorb_frame(bad)
+        assert len(stats) == 0
 
     @pytest.mark.parametrize("bad_time", [float("nan"), float("inf")])
     def test_non_finite_record_time_rejected(self, bad_time):
         stats = StreamingSlStatistics()
-        stats.absorb(make_record(0, 10, 1.0))
-        bad = make_record(1, 10, 1.0)
-        object.__setattr__(bad, "time_s", bad_time)
+        good = chunk_of([make_record(0, 10, 1.0), make_record(1, 10, 1.0)]).frame
+        bad = with_time(good, 1, bad_time)
+        stats.absorb_frame(bad, 0, 1)
         with pytest.raises(TraceError, match=r"^iteration 1: non-finite time"):
-            stats.absorb(bad)
+            stats.absorb_frame(bad, 1, 2)
         assert len(stats) == 1
 
     def test_non_finite_chunk_time_names_the_iteration(self):
@@ -164,7 +166,7 @@ class TestSnapshots:
             make_record(2, 10, 0.15, tgt_len=12),
         ]
         stats = StreamingSlStatistics()
-        stats.absorb_many(records)
+        stats.absorb_frame(chunk_of(records).frame)
         prefix = stats.frame()
         assert prefix.tgt_len_at(0) == 12
         assert prefix.tgt_len_at(1) is None
@@ -172,7 +174,7 @@ class TestSnapshots:
     def test_growable_column_doubles_past_initial_capacity(self):
         stats = StreamingSlStatistics()
         records = [make_record(i, 10 + i % 5, 0.1 + i * 1e-4) for i in range(300)]
-        stats.absorb_many(records)
+        stats.absorb_frame(chunk_of(records).frame)
         assert len(stats) == 300
         assert np.array_equal(
             stats.frame().index, np.arange(300, dtype=np.int64)

@@ -112,6 +112,23 @@ class TestProjections:
         assert by_config[3].error_pct < 5.0
 
 
+class TestOfflineRequestCount:
+    """Offline serving reports the requests it served, one latency each."""
+
+    @pytest.mark.parametrize(
+        "batch_size, requests, batches",
+        [(256, 53, 1), (16, 48, 3)],  # one ragged batch; full batches only
+    )
+    def test_counts_served_requests(self, engine, batch_size, requests, batches):
+        analysis = AnalysisSpec(network="gnmt", scale=0.02, batch_size=batch_size)
+        assert len(engine.resolve(analysis).eval_data) == 53
+        result = engine.run_traffic(TrafficSpec(analysis=analysis, arrival="offline"))
+        assert (result.requests, result.batches) == (requests, batches)
+        assert result.latency["count"] == requests
+        assert result.queue_wait["count"] == requests
+        assert result.queue_wait["max_ms"] == 0.0
+
+
 class TestOfflineEquivalence:
     def test_inference_outcome_bit_identical_to_inline_path(self):
         """experiments/inference.py rerouted without changing a digit."""

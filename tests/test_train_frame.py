@@ -14,7 +14,7 @@ from repro.train.frame import (
 )
 from repro.train.trace import IterationRecord, TrainingTrace
 from repro.util.serialize import dump_json, read_json
-from tests.conftest import make_record, make_trace
+from tests.conftest import dump_v1, make_record, make_trace, trace_of
 
 
 def shared_profile_records(count: int) -> list[IterationRecord]:
@@ -72,7 +72,8 @@ class TestFromRecords:
     def test_record_view_preserves_identity(self):
         trace = make_trace([(10, 1.0), (20, 2.0)])
         frame = trace.frame()
-        assert frame.record(1) is trace.records[1]
+        assert frame.record(1) == trace.records[1]
+        assert trace.records is trace.records  # built once, on first read
 
     def test_derived_columns(self):
         records = shared_profile_records(4)
@@ -155,24 +156,26 @@ class TestLazyView:
         assert [r.seq_len for r in records] == [10, 20, 10, 20]
         assert records[1].tgt_len == 25
 
-    def test_mutating_records_rebuilds_frame(self):
+    def test_edited_records_build_a_new_frame(self):
         trace = make_trace([(10, 1.0)])
+        with pytest.raises(AttributeError):
+            trace.records.append(make_record(1, 30, 3.0))
+        grown = trace_of([*trace.records, make_record(1, 30, 3.0)])
+        assert grown.frame().seq_len.tolist() == [10, 30]
         assert trace.frame().seq_len.tolist() == [10]
-        trace.records.append(make_record(1, 30, 3.0))
-        assert trace.frame().seq_len.tolist() == [10, 30]
-        trace.records.clear()
-        assert len(trace.frame()) == 0
+        emptied = trace_of([])
+        assert len(emptied.frame()) == 0
         with pytest.raises(TraceError):
-            trace.throughput
+            emptied.throughput
 
-    def test_phase_updates_propagate_to_frame(self):
-        trace = make_trace([(10, 1.0)])
-        trace.autotune_s = 2.0
-        trace.eval_s = 0.5
+    def test_phases_are_read_from_the_frame(self):
+        trace = make_trace([(10, 1.0)], autotune_s=2.0, eval_s=0.5)
         frame = trace.frame()
         assert frame.autotune_s == 2.0
         assert frame.eval_s == 0.5
         assert trace.wall_time_s == pytest.approx(3.5)
+        view = TrainingTrace.from_frame(frame.with_phases(4.0, 1.0))
+        assert (view.autotune_s, view.eval_s) == (4.0, 1.0)
 
     def test_as_frame_accepts_both(self):
         trace = make_trace([(10, 1.0)])
@@ -184,12 +187,13 @@ class TestLazyView:
         with pytest.raises(TypeError):
             as_frame(42)
 
-    def test_records_assignable(self):
+    def test_records_not_assignable(self):
         trace = make_trace([(10, 1.0), (20, 2.0)])
-        trace.records = [make_record(0, 30, 3.0)]
-        assert trace.frame().seq_len.tolist() == [30]
-        trace.records += [make_record(1, 40, 4.0)]
-        assert trace.frame().seq_len.tolist() == [30, 40]
+        with pytest.raises(AttributeError):
+            trace.records = [make_record(0, 30, 3.0)]
+        with pytest.raises(AttributeError):
+            trace.records += (make_record(1, 40, 4.0),)
+        assert trace.frame().seq_len.tolist() == [10, 20]
 
     def test_structural_equality(self, tmp_path):
         trace = make_trace([(10, 1.0), (20, 2.0)])
@@ -213,11 +217,15 @@ class TestLazyView:
 
 class TestPersistence:
     def make_seq2seq_trace(self):
-        trace = TrainingTrace("m", "d", "c", 32)
-        trace.records.extend(shared_profile_records(6))
-        trace.autotune_s = 1.25
-        trace.eval_s = 0.75
-        return trace
+        return trace_of(
+            shared_profile_records(6),
+            model_name="m",
+            dataset_name="d",
+            config_name="c",
+            batch_size=32,
+            autotune_s=1.25,
+            eval_s=0.75,
+        )
 
     def test_v2_round_trip_bit_equality(self, tmp_path):
         trace = self.make_seq2seq_trace()
@@ -232,7 +240,7 @@ class TestPersistence:
         trace = self.make_seq2seq_trace()
         v1 = tmp_path / "v1.json"
         v2 = tmp_path / "v2.json"
-        trace.save(v1, version=1)
+        dump_v1(trace, v1)
         trace.save(v2, version=2)
         assert read_json(v1)["schema"] == "repro.training-trace.v1"
         from_v1 = TrainingTrace.load(v1)
@@ -244,7 +252,7 @@ class TestPersistence:
     def test_v1_compact_profiles(self, tmp_path):
         trace = self.make_seq2seq_trace()
         path = tmp_path / "v1.json"
-        trace.save(path, version=1)
+        dump_v1(trace, path)
         assert len(TrainingTrace.load(path).frame().profiles) == 2
 
     def test_unknown_schema_rejected(self, tmp_path):
@@ -257,6 +265,12 @@ class TestPersistence:
         trace = make_trace([(10, 1.0)])
         with pytest.raises(TraceError, match="unknown trace format"):
             trace.save(tmp_path / "t.json", version=99)
+
+    def test_v1_is_read_only(self, tmp_path):
+        trace = make_trace([(10, 1.0)])
+        with pytest.raises(TraceError, match="unknown trace format version 1"):
+            trace.save(tmp_path / "t.json", version=1)
+        assert not (tmp_path / "t.json").exists()
 
     def test_profile_sharing_survives_round_trip(self, tmp_path):
         trace = self.make_seq2seq_trace()

@@ -22,9 +22,7 @@ class TestTrainingTrace:
         assert trace.total_time_s == pytest.approx(4.5)
 
     def test_wall_time_includes_phases(self):
-        trace = make_trace([(10, 1.0)])
-        trace.autotune_s = 3.0
-        trace.eval_s = 0.5
+        trace = make_trace([(10, 1.0)], autotune_s=3.0, eval_s=0.5)
         assert trace.wall_time_s == pytest.approx(4.5)
 
     def test_throughput(self):
@@ -44,10 +42,17 @@ class TestTrainingTrace:
         assert len(trace.records_for_seq_len(10)) == 2
 
     def test_empty_throughput_raises(self):
-        trace = make_trace([(10, 1.0)])
-        trace.records.clear()
+        trace = make_trace([])
         with pytest.raises(TraceError):
             trace.throughput
+
+    def test_trace_is_read_only(self):
+        trace = make_trace([(10, 1.0), (20, 2.0)])
+        for name in ("autotune_s", "eval_s", "model_name", "batch_size"):
+            with pytest.raises(AttributeError):
+                setattr(trace, name, 1.0)
+        assert trace.frame().seq_len.tolist() == [10, 20]
+        assert trace.autotune_s == 0.0
 
     def test_non_positive_time_rejected(self):
         with pytest.raises(TraceError):
@@ -56,9 +61,7 @@ class TestTrainingTrace:
 
 class TestPersistence:
     def test_round_trip(self, tmp_path):
-        trace = make_trace([(10, 1.0), (20, 2.0)])
-        trace.autotune_s = 1.25
-        trace.eval_s = 0.75
+        trace = make_trace([(10, 1.0), (20, 2.0)], autotune_s=1.25, eval_s=0.75)
         path = tmp_path / "trace.json"
         trace.save(path)
         loaded = TrainingTrace.load(path)
