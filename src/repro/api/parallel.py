@@ -49,6 +49,7 @@ from repro.api.spec import (
     ProjectionSpec,
     SpecBase,
     _freeze_kwargs,
+    option,
 )
 from repro.errors import ConfigurationError
 from repro.models.plan import PLAN_CACHE, PlanStore
@@ -128,13 +129,38 @@ class SweepSpec(SpecBase):
     identification config, the paper's identification-error check).
     """
 
-    networks: tuple[str, ...]
-    scales: tuple[float, ...] = (1.0,)
-    batch_sizes: tuple[int, ...] = (DEFAULT_BATCH_SIZE,)
-    configs: tuple[int, ...] = (1,)
-    seeds: tuple[int, ...] = (0,)
-    selectors: tuple[Any, ...] = ("seqpoint",)
-    targets: tuple[int, ...] | None = None
+    networks: tuple[str, ...] = option(
+        help="comma-separated networks, e.g. gnmt,ds2", parse="list"
+    )
+    scales: tuple[float, ...] = option(
+        (1.0,),
+        help="comma-separated corpus scales in (0, 1] (default 0.1)",
+        parse="list",
+        cli_default=(0.1,),
+    )
+    batch_sizes: tuple[int, ...] = option(
+        (DEFAULT_BATCH_SIZE,),
+        help=f"comma-separated batch sizes (default {DEFAULT_BATCH_SIZE})",
+        parse="list",
+    )
+    configs: tuple[int, ...] = option(
+        (1,), help="comma-separated identification configs (default 1)", parse="list"
+    )
+    seeds: tuple[int, ...] = option(
+        (0,), help="comma-separated data-order seeds (default 0)", parse="list"
+    )
+    selectors: tuple[Any, ...] = option(
+        ("seqpoint",),
+        help="comma-separated selector names (default seqpoint); "
+        "selector kwargs need a --spec file",
+        parse="list",
+    )
+    targets: tuple[int, ...] | None = option(
+        None,
+        help="comma-separated Table II configs to project every point onto, "
+        "or 'all' (default: each point's identification config)",
+        parse="targets",
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "networks", _axis("networks", self.networks, str))

@@ -17,20 +17,24 @@ Every spec in the family (:class:`AnalysisSpec`, :class:`ProjectionSpec`,
 fields all fail as one-line :class:`~repro.errors.ConfigurationError`\\ s.
 ``to_dict`` stays envelope-free so existing saved specs and the serve
 wire format keep working verbatim.
+
+Spec fields are declared with :func:`option`, which keeps each field's
+command-line help text and flag settings in its dataclass metadata;
+:mod:`repro.cli` builds every spec-driven command's flags from them.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Mapping
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Any
 
 from repro.api import registry
 from repro.errors import ConfigurationError, ReproError
 from repro.hw.config import paper_config
 
-__all__ = ["AnalysisSpec", "ProjectionSpec", "SpecBase", "DEFAULT_BATCH_SIZE"]
+__all__ = ["AnalysisSpec", "ProjectionSpec", "SpecBase", "DEFAULT_BATCH_SIZE", "option"]
 
 #: The paper's fixed mini-batch size (§VI-B).
 DEFAULT_BATCH_SIZE = 64
@@ -59,6 +63,30 @@ def _freeze_kwargs(value: Any) -> tuple[tuple[str, Any], ...]:
             )
         frozen.append((key, item))
     return tuple(frozen)
+
+
+def option(default: Any = MISSING, *, help: str, **cli: Any) -> Any:
+    """Declare a spec field with its default and its command-line flag.
+
+    ``help`` becomes the flag's help text; the flag itself is ``--``
+    plus the field name with dashes, typed by the field's annotation.
+    ``cli`` may add, for :mod:`repro.cli` to read:
+
+    ``flag``, ``dest``
+        another option string, another parsed-args attribute;
+    ``choices``
+        the allowed values, or a callable returning them (registries);
+    ``metavar``
+        the flag's placeholder in ``--help``;
+    ``parse``
+        how the flag's string becomes the value: ``"list"``
+        (comma-separated), ``"targets"`` (comma-separated or ``all``),
+        ``"json"``, or ``"pairs"`` (a repeatable ``KEY=VALUE`` flag);
+    ``cli_default``
+        the value the CLI uses when neither the flag nor a ``--spec``
+        file sets the field.
+    """
+    return field(default=default, metadata={"help": help, **cli})
 
 
 class SpecBase:
@@ -137,17 +165,39 @@ class AnalysisSpec(SpecBase):
     :attr:`selector_options` for the dict view.
     """
 
-    network: str
-    dataset: str | None = None
-    batching: str | None = None
-    batch_size: int = DEFAULT_BATCH_SIZE
-    #: Table II configuration the identification epoch runs on.
-    config: int = 1
-    scale: float = 1.0
-    #: Data-order seed for the simulated run.
-    seed: int = 0
-    selector: str = "seqpoint"
-    selector_kwargs: tuple[tuple[str, Any], ...] = field(default_factory=tuple)
+    network: str = option(help="network to simulate", choices=registry.MODELS.available)
+    dataset: str | None = option(
+        None,
+        help="corpus (default: the network's paper dataset)",
+        choices=registry.DATASETS.available,
+    )
+    batching: str | None = option(
+        None,
+        help="input pipeline (default: the network's paper pipeline)",
+        choices=registry.BATCHING.available,
+    )
+    batch_size: int = option(
+        DEFAULT_BATCH_SIZE, help=f"mini-batch size (default {DEFAULT_BATCH_SIZE})"
+    )
+    config: int = option(1, help="Table II config the simulation runs on (default 1)")
+    scale: float = option(
+        1.0,
+        help="corpus scale in (0, 1]; 1.0 is paper-sized (default 0.1)",
+        cli_default=0.1,
+    )
+    seed: int = option(0, help="data-order seed of the simulated run (default 0)")
+    selector: str = option(
+        "seqpoint", help="selector (default seqpoint)", choices=registry.SELECTORS.available
+    )
+    selector_kwargs: tuple[tuple[str, Any], ...] = option(
+        (),
+        help="selector keyword argument (repeatable), e.g. "
+        "--selector-arg error_threshold_pct=0.5",
+        flag="--selector-arg",
+        dest="selector_arg",
+        metavar="KEY=VALUE",
+        parse="pairs",
+    )
 
     def __post_init__(self) -> None:
         registry.MODELS.get(self.network)
@@ -245,7 +295,12 @@ class AnalysisSpec(SpecBase):
 class ProjectionSpec(SpecBase):
     """Which Table II configurations to project the analysis onto."""
 
-    targets: tuple[int, ...] = (1, 2, 3, 4, 5)
+    targets: tuple[int, ...] = option(
+        (1, 2, 3, 4, 5),
+        help="comma-separated Table II configs to project onto, or 'all' "
+        "(default: the identification config only)",
+        parse="targets",
+    )
 
     def __post_init__(self) -> None:
         try:

@@ -56,12 +56,23 @@ without installation.)  Library failures — unknown registry names,
 malformed specs, bad files — exit with code 2 and a one-line message
 on stderr, never a traceback.
 
-Every spec-driven subcommand (``analyze``/``sweep``/``stream``/
-``traffic``/``serve``) accepts ``--spec FILE`` with one precedence
-rule: the JSON file is the base document and inline flags override its
-fields one by one, so ``--spec base.json --batch-size 32`` runs the
-file's scenario at batch 32.  All commands share one ``--format
-{table,json}`` implementation.
+Each spec-driven subcommand reads one spec: ``analyze`` an
+:class:`AnalysisSpec` (plus ``--targets`` from
+:class:`ProjectionSpec`), ``sweep`` a ``SweepSpec``, ``stream`` a
+``StreamSpec``, ``traffic`` a ``TrafficSpec`` and ``serve`` a
+:class:`ServeSpec`.  Its flags are derived from that dataclass: one
+flag per field, typed by the field's annotation, with the help text
+and CLI settings the field declares through
+:func:`~repro.api.spec.option`; a nested spec, such as the
+``analysis`` of stream and traffic, contributes its own fields' flags.
+``--spec FILE`` follows one precedence rule: the JSON file is the base
+document and inline flags override its fields one by one, nested
+objects included, so ``--spec base.json --batch-size 32`` runs the
+file's scenario at batch 32.  Run options that are not spec fields
+(``--format``, ``--cache-dir``, ``--plan-store-dir``, sweep's
+``--mode`` and ``--workers``, serve's ``--check``) are declared below
+by hand.  All commands share one ``--format {table,json}``
+implementation.
 """
 
 from __future__ import annotations
@@ -69,7 +80,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from dataclasses import MISSING, Field, asdict, dataclass, fields
+from functools import cache
+from typing import Any, get_args, get_type_hints
 
 from repro.api.cache import TraceCache
 from repro.api.engine import (
@@ -79,25 +93,145 @@ from repro.api.engine import (
     default_engine,
 )
 from repro.api.parallel import SWEEP_MODES, SweepRun, SweepSpec, run_sweep
-from repro.api.registry import BATCHING, DATASETS, MODELS, SELECTORS
-from repro.api.spec import AnalysisSpec, ProjectionSpec
+from repro.api.registry import MODELS
+from repro.api.spec import AnalysisSpec, ProjectionSpec, SpecBase, option
 from repro.core.seqpoint import SeqPointSelector
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.experiments import registry
 from repro.experiments.setups import epoch_trace
 from repro.hw.config import PAPER_CONFIGS
 from repro.stream.spec import StreamSpec
-from repro.traffic import ARRIVAL_KINDS, TrafficSpec
+from repro.traffic import TrafficSpec
 from repro.util.tables import render_table
 from repro.util.units import format_duration
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "ServeSpec"]
 
 #: The one precedence rule every ``--spec`` flag follows.
 _SPEC_HELP = (
     "JSON %s file used as the base document; inline flags "
     "override its fields one by one (inline wins)"
 )
+_SCALE_HELP = "corpus scale in (0, 1]; 1.0 is paper-sized (default 0.1)"
+
+
+@cache
+def _fields(spec_cls: type) -> tuple[tuple[Field, Any], ...]:
+    """``spec_cls``'s dataclass fields, each with its resolved type."""
+    hints = get_type_hints(spec_cls)
+    return tuple((spec_field, hints[spec_field.name]) for spec_field in fields(spec_cls))
+
+
+def _is_spec(hint: Any) -> bool:
+    return isinstance(hint, type) and issubclass(hint, SpecBase)
+
+
+def _flag(spec_field: Field) -> str:
+    return spec_field.metadata.get("flag", "--" + spec_field.name.replace("_", "-"))
+
+
+def _scalar_type(hint: Any) -> type | None:
+    """argparse ``type`` of a scalar field: int or float, else a string."""
+    base = next((arg for arg in get_args(hint) if arg is not type(None)), hint)
+    return base if base in (int, float) else None
+
+
+@dataclass(frozen=True)
+class ServeSpec(SpecBase):
+    """The options of ``repro serve``: its ``--spec`` file and flags.
+
+    Declared here, not in :mod:`repro.serve`, so that building the
+    parser never imports the daemon.  Every value must already have its
+    field's type; nothing is coerced.
+    """
+
+    host: str = option("127.0.0.1", help="bind address (default 127.0.0.1)")
+    port: int = option(8742, help="bind port; 0 picks an ephemeral port (default 8742)")
+    workers: int = option(2, help="job worker threads (default 2)")
+    sweep_mode: str = option(
+        "process", help="how sweep jobs execute (default process)", choices=SWEEP_MODES
+    )
+    sweep_workers: int | None = option(
+        None, help="processes per sweep job (default: all CPUs)"
+    )
+    cache_dir: str | None = option(
+        None,
+        help="persist simulated traces to DIR (shared across jobs and sweep "
+        "worker processes)",
+        metavar="DIR",
+    )
+    plan_store_dir: str | None = option(
+        None,
+        help="shared on-disk plan store for the daemon and its sweep worker processes",
+        metavar="DIR",
+    )
+    cache_max_bytes: int | None = option(
+        None, help="in-memory trace cache budget in bytes (default unbounded)"
+    )
+    cache_max_entries: int | None = option(
+        None, help="in-memory trace cache entry budget (default unbounded)"
+    )
+    queue_depth: int | None = option(
+        None, help="max jobs pending before submissions are refused (default unbounded)"
+    )
+    max_sessions: int | None = option(
+        None, help="max concurrently open streaming sessions (default unbounded)"
+    )
+
+    def __post_init__(self) -> None:
+        for spec_field, hint in _fields(ServeSpec):
+            value = getattr(self, spec_field.name)
+            if isinstance(value, bool) or not isinstance(value, get_args(hint) or hint):
+                raise ConfigurationError(
+                    f"{spec_field.name} must be {spec_field.type}, got {value!r}"
+                )
+        if self.sweep_mode not in SWEEP_MODES:
+            raise ConfigurationError(
+                f"sweep_mode must be one of: {', '.join(SWEEP_MODES)}, "
+                f"got {self.sweep_mode!r}"
+            )
+
+    def to_dict(self) -> dict[str, Any]:
+        return asdict(self)
+
+
+def _add_spec_flags(parser: argparse.ArgumentParser, spec_cls: type) -> None:
+    """Add one flag per field of ``spec_cls``; a nested spec adds its own.
+
+    Each flag is what the field declares with
+    :func:`~repro.api.spec.option`: ``--`` plus the field name with
+    dashes unless its metadata says otherwise, storing into the field's
+    name, typed int or float when the annotation is.
+    """
+    for spec_field, hint in _fields(spec_cls):
+        if _is_spec(hint):
+            _add_spec_flags(parser, hint)
+            continue
+        meta = spec_field.metadata
+        choices = meta.get("choices")
+        repeated = {"action": "append", "default": []} if meta.get("parse") == "pairs" else {}
+        parser.add_argument(
+            _flag(spec_field),
+            dest=meta.get("dest", spec_field.name),
+            type=None if "parse" in meta else _scalar_type(hint),
+            choices=choices() if callable(choices) else choices,
+            metavar=meta.get("metavar"),
+            help=meta.get("help"),
+            **repeated,
+        )
+
+
+def _spec_command(
+    commands: argparse._SubParsersAction, name: str, help: str, *specs: type
+) -> argparse.ArgumentParser:
+    """A subcommand reading ``--spec FILE`` and one flag per spec field."""
+    parser = commands.add_parser(name, help=help)
+    parser.add_argument(
+        "--spec", default=None, metavar="FILE", help=_SPEC_HELP % specs[0].__name__
+    )
+    for spec_cls in specs:
+        _add_spec_flags(parser, spec_cls)
+    return parser
 
 
 def _add_format(parser: argparse.ArgumentParser) -> None:
@@ -112,67 +246,6 @@ def _add_cache_dir(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="persist simulated traces to DIR and reuse them across runs",
-    )
-
-
-def _add_analysis_flags(parser: argparse.ArgumentParser, verb: str) -> None:
-    """The inline ``AnalysisSpec`` flags shared by spec-driven commands."""
-    parser.add_argument("--network", choices=MODELS.available())
-    parser.add_argument(
-        "--dataset", choices=DATASETS.available(),
-        help="corpus (default: the network's paper dataset)",
-    )
-    parser.add_argument(
-        "--batching", choices=BATCHING.available(),
-        help="input pipeline (default: the network's paper pipeline)",
-    )
-    parser.add_argument("--batch-size", type=int, default=None)
-    parser.add_argument(
-        "--config", type=int, default=None,
-        help=f"Table II config the {verb} runs on (default 1)",
-    )
-    parser.add_argument(
-        "--scale", type=float, default=None,
-        help="corpus scale in (0, 1]; 1.0 is paper-sized (default 0.1)",
-    )
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--selector", choices=SELECTORS.available())
-    parser.add_argument(
-        "--selector-arg", action="append", default=[], metavar="KEY=VALUE",
-        help="selector keyword argument (repeatable), e.g. "
-        "--selector-arg error_threshold_pct=0.5",
-    )
-
-
-def _add_stream_knobs(
-    parser: argparse.ArgumentParser, cadence_default: int
-) -> None:
-    """The streaming-identifier knobs shared by stream and traffic."""
-    parser.add_argument(
-        "--cadence", type=int, default=None,
-        help=f"iterations between selector re-runs (default {cadence_default})",
-    )
-    parser.add_argument(
-        "--patience", type=int, default=None,
-        help="consecutive agreeing checks to converge (default 3)",
-    )
-    parser.add_argument(
-        "--rtol", type=float, default=None,
-        help="relative tolerance on the projected mean iteration time "
-        "(default 0.005)",
-    )
-    parser.add_argument(
-        "--drift-rtol", type=float, default=None,
-        help="per-SL mean drift that resets the window (default 0.02)",
-    )
-    parser.add_argument(
-        "--sl-rtol", type=float, default=None,
-        help="pointwise SL tolerance between checks; 0 = exact "
-        "(default 0.1)",
-    )
-    parser.add_argument(
-        "--min-iterations", type=int, default=None,
-        help="iterations to consume before the first check (default 0)",
     )
 
 
@@ -194,70 +267,23 @@ def build_parser() -> argparse.ArgumentParser:
         "identify", help="identify SeqPoints for a network"
     )
     identify.add_argument("--network", choices=MODELS.available(), required=True)
-    identify.add_argument(
-        "--scale", type=float, default=0.1,
-        help="corpus scale in (0, 1]; 1.0 is paper-sized (default 0.1)",
-    )
+    identify.add_argument("--scale", type=float, default=0.1, help=_SCALE_HELP)
     identify.add_argument(
         "--threshold", type=float, default=1.0,
         help="identification error threshold e, percent (default 1.0)",
     )
     _add_format(identify)
 
-    analyze = commands.add_parser(
-        "analyze",
-        help="run a declarative analysis (simulate, select, project)",
-    )
-    analyze.add_argument(
-        "--spec", default=None, metavar="FILE",
-        help=_SPEC_HELP % "AnalysisSpec",
-    )
-    _add_analysis_flags(analyze, "identification epoch")
-    analyze.add_argument(
-        "--targets", default=None,
-        help="comma-separated Table II configs to project onto, or 'all' "
-        "(default: the identification config only)",
+    analyze = _spec_command(
+        commands, "analyze", "run a declarative analysis (simulate, select, project)",
+        AnalysisSpec, ProjectionSpec,
     )
     _add_format(analyze)
     _add_cache_dir(analyze)
 
-    sweep = commands.add_parser(
-        "sweep",
-        help="run a grid of analyses on the process-parallel sweep engine",
-    )
-    sweep.add_argument(
-        "--spec", default=None, metavar="FILE",
-        help=_SPEC_HELP % "SweepSpec",
-    )
-    sweep.add_argument(
-        "--networks", default=None,
-        help="comma-separated networks, e.g. gnmt,ds2",
-    )
-    sweep.add_argument(
-        "--scales", default=None,
-        help="comma-separated corpus scales in (0, 1] (default 0.1)",
-    )
-    sweep.add_argument(
-        "--configs", default=None,
-        help="comma-separated identification configs (default 1)",
-    )
-    sweep.add_argument(
-        "--seeds", default=None,
-        help="comma-separated data-order seeds (default 0)",
-    )
-    sweep.add_argument(
-        "--batch-sizes", default=None,
-        help="comma-separated batch sizes (default 64)",
-    )
-    sweep.add_argument(
-        "--selectors", default=None,
-        help="comma-separated selector names (default seqpoint); "
-        "selector kwargs need a --spec file",
-    )
-    sweep.add_argument(
-        "--targets", default=None,
-        help="comma-separated Table II configs to project every point "
-        "onto, or 'all' (default: each point's identification config)",
+    sweep = _spec_command(
+        commands, "sweep", "run a grid of analyses on the process-parallel sweep engine",
+        SweepSpec,
     )
     sweep.add_argument(
         "--workers", type=int, default=None,
@@ -278,138 +304,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_format(sweep)
 
-    stream = commands.add_parser(
-        "stream",
-        help="online identification over a simulated live feed",
-    )
-    stream.add_argument(
-        "--spec", default=None, metavar="FILE",
-        help=_SPEC_HELP % "StreamSpec",
-    )
-    _add_analysis_flags(stream, "streamed epoch")
-    _add_stream_knobs(stream, cadence_default=64)
-    stream.add_argument(
-        "--chunk-size", type=int, default=None,
-        help="arrival granularity of the replayed feed (default 1)",
+    stream = _spec_command(
+        commands, "stream", "online identification over a simulated live feed", StreamSpec
     )
     _add_format(stream)
     _add_cache_dir(stream)
 
-    traffic = commands.add_parser(
-        "traffic",
-        help="traffic-driven inference serving simulation",
-    )
-    traffic.add_argument(
-        "--spec", default=None, metavar="FILE",
-        help=_SPEC_HELP % "TrafficSpec",
-    )
-    _add_analysis_flags(traffic, "serving device")
-    traffic.add_argument(
-        "--arrival", choices=ARRIVAL_KINDS, default=None,
-        help="request arrival process (default poisson)",
-    )
-    traffic.add_argument(
-        "--rate", type=float, default=None,
-        help="mean request rate in requests/second (default 64)",
-    )
-    traffic.add_argument(
-        "--requests", type=int, default=None,
-        help="total requests to serve (default 1024)",
-    )
-    traffic.add_argument(
-        "--max-wait", type=float, default=None, dest="max_wait_s",
-        help="dynamic batcher's max-wait trigger in seconds (default 0.5)",
-    )
-    traffic.add_argument(
-        "--burst-factor", type=float, default=None,
-        help="bursty arrivals: on-period rate multiplier (default 3.0)",
-    )
-    traffic.add_argument(
-        "--on-fraction", type=float, default=None,
-        help="bursty arrivals: fraction of each period on (default 0.25)",
-    )
-    traffic.add_argument(
-        "--period-s", type=float, default=None,
-        help="bursty arrivals: on/off period in seconds (default 1.0)",
-    )
-    traffic.add_argument(
-        "--phases", default=None, metavar="JSON",
-        help="mixture schedule as a JSON list of phase objects, e.g. "
-        '\'[{"fraction": 0.5, "quantile_hi": 0.6}, '
-        '{"fraction": 0.5, "quantile_lo": 0.4}]\'',
-    )
-    traffic.add_argument(
-        "--pad-multiple", type=int, default=None,
-        help="override the dataset's pad multiple (default: keep it)",
-    )
-    traffic.add_argument(
-        "--targets", default=None,
-        help="comma-separated Table II configs to project serving time "
-        "onto, or 'all' (default: none)",
+    traffic = _spec_command(
+        commands, "traffic", "traffic-driven inference serving simulation", TrafficSpec
     )
     traffic.add_argument(
         "--plan-store-dir", default=None, metavar="DIR",
         help="shared on-disk plan store: repeated traffic simulations "
         "reuse each unique lowering machine-wide",
     )
-    _add_stream_knobs(traffic, cadence_default=16)
     _add_format(traffic)
     _add_cache_dir(traffic)
 
-    serve = commands.add_parser(
-        "serve",
-        help="run the always-on analysis service (HTTP/JSON daemon)",
-    )
-    serve.add_argument(
-        "--spec", default=None, metavar="FILE",
-        help=_SPEC_HELP % "server-options",
-    )
-    serve.add_argument(
-        "--host", default=None,
-        help="bind address (default 127.0.0.1)",
-    )
-    serve.add_argument(
-        "--port", type=int, default=None,
-        help="bind port; 0 picks an ephemeral port (default 8742)",
-    )
-    serve.add_argument(
-        "--workers", type=int, default=None,
-        help="job worker threads (default 2)",
-    )
-    serve.add_argument(
-        "--sweep-mode", choices=("serial", "process"), default=None,
-        help="how sweep jobs execute (default process)",
-    )
-    serve.add_argument(
-        "--sweep-workers", type=int, default=None,
-        help="processes per sweep job (default: all CPUs)",
-    )
-    serve.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="persist simulated traces to DIR (shared across jobs and "
-        "sweep worker processes)",
-    )
-    serve.add_argument(
-        "--plan-store-dir", default=None, metavar="DIR",
-        help="shared on-disk plan store for the daemon and its sweep "
-        "worker processes",
-    )
-    serve.add_argument(
-        "--cache-max-bytes", type=int, default=None,
-        help="in-memory trace cache budget in bytes (default unbounded)",
-    )
-    serve.add_argument(
-        "--cache-max-entries", type=int, default=None,
-        help="in-memory trace cache entry budget (default unbounded)",
-    )
-    serve.add_argument(
-        "--queue-depth", type=int, default=None,
-        help="max jobs pending before submissions are refused "
-        "(default unbounded)",
-    )
-    serve.add_argument(
-        "--max-sessions", type=int, default=None,
-        help="max concurrently open streaming sessions (default unbounded)",
+    serve = _spec_command(
+        commands, "serve", "run the always-on analysis service (HTTP/JSON daemon)", ServeSpec
     )
     serve.add_argument(
         "--check", action="store_true",
@@ -436,10 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiments = commands.add_parser(
         "experiments", help="regenerate paper tables and figures"
     )
-    experiments.add_argument(
-        "--scale", type=float, default=0.1,
-        help="corpus scale in (0, 1]; 1.0 is paper-sized (default 0.1)",
-    )
+    experiments.add_argument("--scale", type=float, default=0.1, help=_SCALE_HELP)
     experiments.add_argument(
         "--ids", default=None,
         help="comma-separated experiment ids (default: all)",
@@ -448,6 +358,96 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", default=None, help="write tables to this file instead of stdout"
     )
     return parser
+
+
+def _split(flag: str, raw: str) -> list[str]:
+    return [token.strip() for token in raw.split(",") if token.strip()]
+
+
+def _targets(flag: str, raw: str) -> Sequence[object]:
+    return tuple(PAPER_CONFIGS) if raw.strip() == "all" else _split(flag, raw)
+
+
+def _json(flag: str, raw: str) -> object:
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError:
+        raise ReproError(f"{flag} expects JSON, got {raw!r}") from None
+
+
+def _pairs(flag: str, pairs: list[str]) -> dict[str, object]:
+    kwargs: dict[str, object] = {}
+    for pair in pairs:
+        key, sep, raw = pair.partition("=")
+        if not sep or not key:
+            raise ReproError(f"{flag} expects KEY=VALUE, got {pair!r}")
+        try:
+            kwargs[key] = json.loads(raw)
+        except json.JSONDecodeError:
+            kwargs[key] = raw
+    return kwargs
+
+
+#: How a flag's value becomes its field's, by the field's ``parse``
+#: metadata.  Sequences stay strings here; the spec converts each item.
+_PARSERS: dict[str | None, Callable[[str, Any], object]] = {
+    None: lambda flag, raw: raw,
+    "list": _split,
+    "targets": _targets,
+    "json": _json,
+    "pairs": _pairs,
+}
+
+
+def _spec_payload(path: str | None) -> dict[str, object]:
+    """Load a ``--spec`` JSON file as the base document for merging."""
+    if path is None:
+        return {}
+    with open(path, "r", encoding="utf-8") as handle:
+        payload = json.load(handle)
+    if not isinstance(payload, dict):
+        raise ReproError(
+            f"--spec {path} must contain a JSON object, "
+            f"got {type(payload).__name__}"
+        )
+    return payload
+
+
+def _document(
+    spec_cls: type, args: argparse.Namespace, base: dict[str, object]
+) -> dict[str, object]:
+    """``base`` with the flags ``args`` gives for ``spec_cls``'s fields.
+
+    The one precedence rule: each given flag replaces its field (inline
+    wins), and a nested spec's flags overlay the base's nested object
+    the same way.  Without a ``--spec`` file a field's ``cli_default``
+    stands in for its unset flag.
+    """
+    merged = dict(base)
+    for spec_field, hint in _fields(spec_cls):
+        name, meta = spec_field.name, spec_field.metadata
+        if _is_spec(hint):
+            nested = merged.get(name, {})
+            if not isinstance(nested, dict):
+                raise ReproError(
+                    f"--spec {name!r} must be a JSON object, got {type(nested).__name__}"
+                )
+            merged[name] = _document(hint, args, nested)
+            continue
+        raw = getattr(args, meta.get("dest", name))
+        if raw is not None and raw != []:
+            merged[name] = _PARSERS[meta.get("parse")](_flag(spec_field), raw)
+        elif args.spec is None and "cli_default" in meta:
+            merged[name] = meta["cli_default"]
+        required = spec_field.default is MISSING and spec_field.default_factory is MISSING
+        if required and name not in merged:
+            raise ReproError(f"{args.command} needs {_flag(spec_field)} (or --spec FILE)")
+    return merged
+
+
+def _resolve(spec_cls: type, args: argparse.Namespace) -> Any:
+    """The command's spec: its ``--spec`` file overlaid with its flags."""
+    return spec_cls.from_dict(_document(spec_cls, args, _spec_payload(args.spec)))
 
 
 def _cmd_configs() -> int:
@@ -499,53 +499,6 @@ def _cmd_identify(
     return 0
 
 
-def _parse_selector_args(pairs: list[str]) -> dict[str, object]:
-    kwargs: dict[str, object] = {}
-    for pair in pairs:
-        key, sep, raw = pair.partition("=")
-        if not sep or not key:
-            raise ReproError(
-                f"--selector-arg expects KEY=VALUE, got {pair!r}"
-            )
-        try:
-            kwargs[key] = json.loads(raw)
-        except json.JSONDecodeError:
-            kwargs[key] = raw
-    return kwargs
-
-
-def _parse_targets(raw: str | None, fallback: int) -> tuple[int, ...]:
-    if raw is None:
-        return (fallback,)
-    if raw.strip() == "all":
-        return tuple(PAPER_CONFIGS)
-    try:
-        targets = tuple(
-            int(token) for token in raw.split(",") if token.strip()
-        )
-    except ValueError:
-        raise ReproError(
-            f"--targets expects comma-separated config indices, got {raw!r}"
-        ) from None
-    if not targets:
-        raise ReproError("--targets is empty")
-    return targets
-
-
-def _spec_payload(path: str | None) -> dict[str, object]:
-    """Load a ``--spec`` JSON file as the base document for merging."""
-    if path is None:
-        return {}
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if not isinstance(payload, dict):
-        raise ReproError(
-            f"--spec {path} must contain a JSON object, "
-            f"got {type(payload).__name__}"
-        )
-    return payload
-
-
 def _emit(fmt: str, result: object, render) -> int:
     """The shared ``--format`` implementation: one JSON/table emitter."""
     if fmt == "json":
@@ -555,59 +508,33 @@ def _emit(fmt: str, result: object, render) -> int:
     return 0
 
 
-def _merge_nested(
-    command: str,
-    base: dict[str, object],
-    inline: dict[str, object],
-    knobs: dict[str, object],
-) -> dict[str, object]:
-    """Overlay inline flags onto a spec document with a nested analysis.
-
-    The file is the base; inline analysis flags override fields of its
-    ``analysis`` object, top-level knob flags override its top-level
-    fields.  (The one precedence rule every ``--spec`` flag follows.)
-    """
-    analysis = base.get("analysis", {})
-    if not isinstance(analysis, dict):
-        raise ReproError(
-            f"--spec 'analysis' must be a JSON object, "
-            f"got {type(analysis).__name__}"
-        )
-    analysis = {**analysis, **inline}
-    if "network" not in analysis:
-        raise ReproError(f"{command} needs --network (or --spec FILE)")
-    merged = {key: value for key, value in base.items() if key != "analysis"}
-    merged.update(knobs)
-    merged["analysis"] = analysis
-    return merged
+def _engine(args: argparse.Namespace) -> AnalysisEngine:
+    """An engine over ``--cache-dir`` when given, else the process default."""
+    if args.cache_dir is None:
+        return default_engine()
+    return AnalysisEngine(cache=TraceCache(args.cache_dir))
 
 
-def _inline_analysis(args: argparse.Namespace) -> dict[str, object]:
-    """The inline AnalysisSpec fields a command was given, as a dict."""
-    inline = {
-        "network": args.network,
-        "dataset": args.dataset,
-        "batching": args.batching,
-        "batch_size": args.batch_size,
-        "config": args.config,
-        "scale": args.scale,
-        "seed": args.seed,
-        "selector": args.selector,
-    }
-    inline = {key: value for key, value in inline.items() if value is not None}
-    selector_kwargs = _parse_selector_args(args.selector_arg)
-    if selector_kwargs:
-        inline["selector_kwargs"] = selector_kwargs
-    return inline
+def _points_table(result: Any) -> str:
+    """The "selected points" table of analyze, stream and traffic."""
+    return render_table(
+        ["seq_len", "tgt_len", "weight", "time_s"],
+        [
+            [p.seq_len, p.tgt_len if p.tgt_len is not None else "-",
+             round(p.weight, 1), p.time_s]
+            for p in result.points
+        ],
+        title="selected points",
+    )
 
 
-def _analyze_spec(args: argparse.Namespace) -> AnalysisSpec:
-    merged = {**_spec_payload(args.spec), **_inline_analysis(args)}
-    if "network" not in merged:
-        raise ReproError("analyze needs --network (or --spec FILE)")
-    if args.spec is None:
-        merged.setdefault("scale", 0.1)
-    return AnalysisSpec.from_dict(merged)
+def _run_analyze(args: argparse.Namespace) -> AnalysisResult:
+    spec = _resolve(AnalysisSpec, args)
+    # Projects onto the identification config unless --targets is given.
+    projection = ProjectionSpec.from_dict(
+        _document(ProjectionSpec, args, {"targets": [spec.config]})
+    )
+    return _engine(args).run(spec, projection)
 
 
 def _render_analysis(result: AnalysisResult) -> str:
@@ -623,15 +550,7 @@ def _render_analysis(result: AnalysisResult) -> str:
         + (f" (k={result.k})" if result.k is not None else "")
         + f", identification error {result.identification_error_pct:.3f}%",
         "",
-        render_table(
-            ["seq_len", "tgt_len", "weight", "time_s"],
-            [
-                [p.seq_len, p.tgt_len if p.tgt_len is not None else "-",
-                 round(p.weight, 1), p.time_s]
-                for p in result.points
-            ],
-            title="selected points",
-        ),
+        _points_table(result),
         "",
         render_table(
             ["config", "projected", "actual", "error %",
@@ -649,45 +568,8 @@ def _render_analysis(result: AnalysisResult) -> str:
     return "\n".join(parts)
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    try:
-        spec = _analyze_spec(args)
-        projection = ProjectionSpec(targets=_parse_targets(args.targets, spec.config))
-        if args.cache_dir is not None:
-            engine = AnalysisEngine(cache=TraceCache(args.cache_dir))
-        else:
-            engine = default_engine()
-        result = engine.run(spec, projection)
-    except (ReproError, OSError, json.JSONDecodeError) as exc:
-        print(f"analyze: {exc}", file=sys.stderr)
-        return 2
-    except KeyError as exc:
-        return _unknown_name("analyze", exc)
-    return _emit(args.format, result, _render_analysis)
-
-
-def _stream_knobs(args: argparse.Namespace) -> dict[str, object]:
-    knobs = {
-        "cadence": args.cadence,
-        "patience": args.patience,
-        "rtol": args.rtol,
-        "drift_rtol": args.drift_rtol,
-        "sl_rtol": args.sl_rtol,
-        "min_iterations": args.min_iterations,
-    }
-    return {key: value for key, value in knobs.items() if value is not None}
-
-
-def _stream_spec(args: argparse.Namespace) -> StreamSpec:
-    knobs = _stream_knobs(args)
-    if args.chunk_size is not None:
-        knobs["chunk_size"] = args.chunk_size
-    merged = _merge_nested(
-        "stream", _spec_payload(args.spec), _inline_analysis(args), knobs
-    )
-    if args.spec is None:
-        merged["analysis"].setdefault("scale", 0.1)
-    return StreamSpec.from_dict(merged)
+def _run_stream(args: argparse.Namespace) -> StreamingAnalysisResult:
+    return _engine(args).run_streaming(_resolve(StreamSpec, args))
 
 
 def _render_stream(result: StreamingAnalysisResult) -> str:
@@ -718,15 +600,7 @@ def _render_stream(result: StreamingAnalysisResult) -> str:
         + f", prefix identification error "
         f"{result.identification_error_pct:.3f}%",
         "",
-        render_table(
-            ["seq_len", "tgt_len", "weight", "time_s"],
-            [
-                [p.seq_len, p.tgt_len if p.tgt_len is not None else "-",
-                 round(p.weight, 1), p.time_s]
-                for p in result.points
-            ],
-            title="selected points",
-        ),
+        _points_table(result),
         "",
         f"projected epoch {format_duration(result.projected_epoch_time_s)} "
         f"vs actual {format_duration(result.actual_total_s)} "
@@ -738,69 +612,29 @@ def _render_stream(result: StreamingAnalysisResult) -> str:
     return "\n".join(parts)
 
 
-def _cmd_stream(args: argparse.Namespace) -> int:
-    try:
-        stream = _stream_spec(args)
-        if args.cache_dir is not None:
-            engine = AnalysisEngine(cache=TraceCache(args.cache_dir))
-        else:
-            engine = default_engine()
-        result = engine.run_streaming(stream)
-    except (ReproError, OSError, json.JSONDecodeError) as exc:
-        print(f"stream: {exc}", file=sys.stderr)
-        return 2
-    except KeyError as exc:
-        return _unknown_name("stream", exc)
-    return _emit(args.format, result, _render_stream)
-
-
 def _unknown_name(command: str, exc: KeyError) -> int:
     """One-line exit for registry ``KeyError``s from declarative specs.
 
     Registry lookups raise :class:`ConfigurationError` for unknown
     names, but downstream-registered components can still surface a
-    bare ``KeyError``; the spec-driven commands keep the one-line,
-    exit-2 contract for those too.  (Scoped to ``analyze``/``sweep``
-    deliberately — a blanket handler in ``main`` would silence genuine
-    bugs.)
+    bare ``KeyError``; the spec-driven commands (``analyze``, ``sweep``,
+    ``stream`` and ``traffic``) keep the one-line, exit-2 contract for
+    those too.  (Scoped to them deliberately — a blanket handler in
+    ``main`` would silence genuine bugs.)
     """
     name = exc.args[0] if exc.args else exc
     print(f"{command}: unknown name: {name}", file=sys.stderr)
     return 2
 
 
-def _split(raw: str) -> list[str]:
-    return [token.strip() for token in raw.split(",") if token.strip()]
-
-
-def _sweep_spec(args: argparse.Namespace) -> SweepSpec:
-    inline: dict[str, object] = {}
-    if args.networks is not None:
-        inline["networks"] = _split(args.networks)
-    try:
-        if args.scales is not None:
-            inline["scales"] = [float(t) for t in _split(args.scales)]
-        if args.configs is not None:
-            inline["configs"] = [int(t) for t in _split(args.configs)]
-        if args.seeds is not None:
-            inline["seeds"] = [int(t) for t in _split(args.seeds)]
-        if args.batch_sizes is not None:
-            inline["batch_sizes"] = [int(t) for t in _split(args.batch_sizes)]
-    except ValueError:
-        raise ReproError(
-            "sweep axis flags expect comma-separated numbers"
-        ) from None
-    if args.selectors is not None:
-        inline["selectors"] = _split(args.selectors)
-    if args.targets is not None:
-        inline["targets"] = _parse_targets(args.targets, 1)
-
-    merged = {**_spec_payload(args.spec), **inline}
-    if "networks" not in merged:
-        raise ReproError("sweep needs --networks (or --spec FILE)")
-    if args.spec is None:
-        merged.setdefault("scales", [0.1])
-    return SweepSpec.from_dict(merged)
+def _run_sweep(args: argparse.Namespace) -> SweepRun:
+    return run_sweep(
+        _resolve(SweepSpec, args),
+        mode=args.mode,
+        workers=args.workers,
+        cache_dir=args.cache_dir,
+        plan_store_dir=args.plan_store_dir,
+    )
 
 
 def _render_sweep(run: SweepRun) -> str:
@@ -830,55 +664,10 @@ def _render_sweep(run: SweepRun) -> str:
     return f"{summary}\n\n{table}"
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        sweep = _sweep_spec(args)
-        run = run_sweep(
-            sweep,
-            mode=args.mode,
-            workers=args.workers,
-            cache_dir=args.cache_dir,
-            plan_store_dir=args.plan_store_dir,
-        )
-    except (ReproError, OSError, json.JSONDecodeError) as exc:
-        print(f"sweep: {exc}", file=sys.stderr)
-        return 2
-    except KeyError as exc:
-        return _unknown_name("sweep", exc)
-    return _emit(args.format, run, _render_sweep)
-
-
-def _traffic_spec(args: argparse.Namespace) -> TrafficSpec:
-    knobs = _stream_knobs(args)
-    traffic_knobs = {
-        "arrival": args.arrival,
-        "rate": args.rate,
-        "requests": args.requests,
-        "max_wait_s": args.max_wait_s,
-        "burst_factor": args.burst_factor,
-        "on_fraction": args.on_fraction,
-        "period_s": args.period_s,
-        "pad_multiple": args.pad_multiple,
-    }
-    knobs.update(
-        {k: v for k, v in traffic_knobs.items() if v is not None}
+def _run_traffic(args: argparse.Namespace) -> Any:
+    return _engine(args).run_traffic(
+        _resolve(TrafficSpec, args), plan_store_dir=args.plan_store_dir
     )
-    if args.phases is not None:
-        try:
-            knobs["phases"] = json.loads(args.phases)
-        except json.JSONDecodeError:
-            raise ReproError(
-                f"--phases expects a JSON list of phase objects, "
-                f"got {args.phases!r}"
-            ) from None
-    if args.targets is not None:
-        knobs["targets"] = list(_parse_targets(args.targets, 1))
-    merged = _merge_nested(
-        "traffic", _spec_payload(args.spec), _inline_analysis(args), knobs
-    )
-    if args.spec is None:
-        merged["analysis"].setdefault("scale", 0.1)
-    return TrafficSpec.from_dict(merged)
 
 
 def _render_traffic(result: "object") -> str:
@@ -903,15 +692,7 @@ def _render_traffic(result: "object") -> str:
         + (f" (k={result.k})" if result.k is not None else "")
         + f", identification error {result.identification_error_pct:.3f}%",
         "",
-        render_table(
-            ["seq_len", "tgt_len", "weight", "time_s"],
-            [
-                [p.seq_len, p.tgt_len if p.tgt_len is not None else "-",
-                 round(p.weight, 1), p.time_s]
-                for p in result.points
-            ],
-            title="selected points",
-        ),
+        _points_table(result),
         "",
         render_table(
             ["metric", "mean ms", "p50 ms", "p95 ms", "p99 ms", "max ms"],
@@ -949,22 +730,26 @@ def _render_traffic(result: "object") -> str:
     return "\n".join(parts)
 
 
-def _cmd_traffic(args: argparse.Namespace) -> int:
+#: Each spec-driven command but serve: how it runs, how it renders.
+_SPEC_COMMANDS = {
+    "analyze": (_run_analyze, _render_analysis),
+    "sweep": (_run_sweep, _render_sweep),
+    "stream": (_run_stream, _render_stream),
+    "traffic": (_run_traffic, _render_traffic),
+}
+
+
+def _cmd_spec(args: argparse.Namespace) -> int:
+    """Run a spec-driven command; library failures exit 2 with one line."""
+    run, render = _SPEC_COMMANDS[args.command]
     try:
-        traffic = _traffic_spec(args)
-        if args.cache_dir is not None:
-            engine = AnalysisEngine(cache=TraceCache(args.cache_dir))
-        else:
-            engine = default_engine()
-        result = engine.run_traffic(
-            traffic, plan_store_dir=args.plan_store_dir
-        )
+        result = run(args)
     except (ReproError, OSError, json.JSONDecodeError) as exc:
-        print(f"traffic: {exc}", file=sys.stderr)
+        print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
     except KeyError as exc:
-        return _unknown_name("traffic", exc)
-    return _emit(args.format, result, _render_traffic)
+        return _unknown_name(args.command, exc)
+    return _emit(args.format, result, render)
 
 
 def _serve_check(server: "object") -> int:
@@ -1011,72 +796,19 @@ def _serve_check(server: "object") -> int:
     return 0
 
 
-#: Every server option a serve --spec file may set (= the inline flags).
-_SERVE_OPTION_KEYS = (
-    "host", "port", "workers", "sweep_mode", "sweep_workers", "cache_dir",
-    "plan_store_dir", "cache_max_bytes", "cache_max_entries",
-    "queue_depth", "max_sessions",
-)
-_SERVE_DEFAULTS = {
-    "host": "127.0.0.1", "port": 8742, "workers": 2, "sweep_mode": "process",
-}
-
-
-def _serve_options(args: argparse.Namespace) -> dict[str, object]:
-    """serve's --spec merge: file is the base, inline flags win."""
-    base = _spec_payload(args.spec)
-    base.pop("v", None)
-    unknown = sorted(set(base) - set(_SERVE_OPTION_KEYS))
-    if unknown:
-        raise ReproError(
-            f"unknown serve --spec fields: {', '.join(unknown)}; expected "
-            f"a subset of: {', '.join(_SERVE_OPTION_KEYS)}"
-        )
-    options: dict[str, object] = dict.fromkeys(_SERVE_OPTION_KEYS)
-    options.update(_SERVE_DEFAULTS)
-    options.update(base)
-    options.update(
-        {
-            key: getattr(args, key)
-            for key in _SERVE_OPTION_KEYS
-            if getattr(args, key) is not None
-        }
-    )
-    if options["sweep_mode"] not in ("serial", "process"):
-        raise ReproError(
-            f"sweep_mode must be 'serial' or 'process', "
-            f"got {options['sweep_mode']!r}"
-        )
-    return options
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import ReproServer
 
     try:
-        options = _serve_options(args)
+        options = _resolve(ServeSpec, args).to_dict()
     except (ReproError, OSError, json.JSONDecodeError) as exc:
         print(f"serve: {exc}", file=sys.stderr)
         return 2
+    host, port = options.pop("host"), options.pop("port")
     try:
-        server = ReproServer(
-            options["host"],
-            0 if args.check else options["port"],
-            cache_dir=options["cache_dir"],
-            cache_max_bytes=options["cache_max_bytes"],
-            cache_max_entries=options["cache_max_entries"],
-            workers=options["workers"],
-            sweep_mode=options["sweep_mode"],
-            sweep_workers=options["sweep_workers"],
-            queue_depth=options["queue_depth"],
-            max_sessions=options["max_sessions"],
-            plan_store_dir=options["plan_store_dir"],
-        )
+        server = ReproServer(host, 0 if args.check else port, **options)
     except OSError as exc:
-        print(
-            f"serve: cannot bind {options['host']}:{options['port']}: {exc}",
-            file=sys.stderr,
-        )
+        print(f"serve: cannot bind {host}:{port}: {exc}", file=sys.stderr)
         return 2
     except (TypeError, ValueError) as exc:
         print(f"serve: {exc}", file=sys.stderr)
@@ -1154,14 +886,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _cmd_identify(
                 args.network, args.scale, args.threshold, args.format
             )
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "stream":
-            return _cmd_stream(args)
-        if args.command == "traffic":
-            return _cmd_traffic(args)
+        if args.command in _SPEC_COMMANDS:
+            return _cmd_spec(args)
         if args.command == "serve":
             return _cmd_serve(args)
         if args.command == "trace":

@@ -54,7 +54,6 @@ from repro.serve.protocol import (
     error_status,
     ok_envelope,
     parse_job_submission,
-    parse_records,
     parse_stream_open,
 )
 from repro.serve.queue import JobQueue
@@ -213,7 +212,7 @@ class ServeApp:
                     )
                 snapshot = session.advance(body["advance"])
             else:
-                snapshot = session.feed_records(parse_records(body))
+                snapshot = session.feed_records(body)
             return "POST /stream/<id>/feed", {"session": snapshot}
         elif len(segments) == 3 and segments[2] == "finish" and method == "POST":
             session = self.sessions.get(segments[1])

@@ -37,7 +37,7 @@ import numpy as np
 from repro.api.engine import AnalysisEngine
 from repro.errors import ConfigurationError
 from repro.hw.counters import CounterSet
-from repro.serve.protocol import NotFoundError, ProtocolError
+from repro.serve.protocol import NotFoundError, ProtocolError, parse_records
 from repro.stream.feed import FrameSlice
 from repro.stream.spec import StreamSpec
 from repro.stream.stats import StreamingSlStatistics
@@ -100,17 +100,20 @@ class StreamSession:
                 f"session {self.id} is {self.state}; feeds need an open session"
             )
 
-    def feed_records(self, records: list[dict[str, Any]]) -> dict[str, Any]:
+    def feed_records(self, chunk: Any) -> dict[str, Any]:
         """Absorb one live chunk of client-posted iteration records.
 
-        ``records`` are dicts as :func:`~repro.serve.protocol.parse_records`
-        validates them (``epoch`` and ``tgt_len`` may be left out); the
-        chunk becomes one frame, absorbed whole as a slice.
+        ``chunk`` is the posted ``{"records": [...]}`` object.  Every
+        record is checked by :func:`~repro.serve.protocol.parse_records`
+        before any is absorbed, so a refused chunk leaves the session as
+        it was; an accepted chunk becomes one frame, absorbed whole as a
+        slice.
         """
         if self.replay:
             raise ProtocolError(
                 f"session {self.id} is a replay session; feed it {{'advance': n}}"
             )
+        records = parse_records(chunk)
         with self._lock:
             self._require_open()
             first = self._session.iterations_consumed
@@ -122,10 +125,10 @@ class StreamSession:
                 config_name=stats.config_name,
                 batch_size=stats.batch_size,
                 index=np.arange(first, first + size),
-                epoch=[record.get("epoch", 0) for record in records],
+                epoch=[record["epoch"] for record in records],
                 seq_len=[record["seq_len"] for record in records],
                 tgt_len=[
-                    NO_TGT if record.get("tgt_len") is None else record["tgt_len"]
+                    NO_TGT if record["tgt_len"] is None else record["tgt_len"]
                     for record in records
                 ],
                 time_s=[record["time_s"] for record in records],

@@ -14,10 +14,26 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Any
 
-from repro.api.spec import AnalysisSpec, SpecBase
+from repro.api.spec import AnalysisSpec, SpecBase, option
 from repro.errors import ConfigurationError
 
 __all__ = ["StreamSpec"]
+
+#: What each streaming-identifier knob means, as its flag's help text;
+#: ``{}`` becomes the declaring spec's default.
+_KNOB_HELP = {
+    "cadence": "iterations between selector re-runs (default {})",
+    "patience": "consecutive agreeing checks to converge (default {})",
+    "rtol": "relative tolerance on the projected mean iteration time (default {})",
+    "drift_rtol": "per-SL mean drift that resets the window (default {})",
+    "sl_rtol": "pointwise SL tolerance between checks; 0 = exact (default {})",
+    "min_iterations": "iterations to consume before the first check (default {})",
+}
+
+
+def knob(name: str, default: Any) -> Any:
+    """Declare the identifier knob ``name`` with its default and help text."""
+    return option(default, help=_KNOB_HELP[name].format(default))
 
 
 class IdentifierKnobs:
@@ -26,7 +42,7 @@ class IdentifierKnobs:
     Mixed into :class:`StreamSpec` and
     :class:`~repro.traffic.spec.TrafficSpec`, which each declare
     ``cadence``, ``patience``, ``rtol``, ``drift_rtol``, ``sl_rtol``
-    and ``min_iterations`` with their own defaults.
+    and ``min_iterations`` with :func:`knob` and their own defaults.
     """
 
     def _validate_identifier_knobs(self) -> None:
@@ -91,21 +107,13 @@ class StreamSpec(SpecBase, IdentifierKnobs):
     """
 
     analysis: AnalysisSpec
-    #: Iterations between selector re-runs.
-    cadence: int = 64
-    #: Consecutive agreeing checks required to declare convergence.
-    patience: int = 3
-    #: Relative tolerance on the projected mean iteration time.
-    rtol: float = 0.005
-    #: Relative per-SL mean-runtime drift that resets the window.
-    drift_rtol: float = 0.02
-    #: Pointwise relative tolerance when comparing selected SL sets
-    #: across checks (0 = exact set equality).
-    sl_rtol: float = 0.1
-    #: Arrival granularity of the replayed feed.
-    chunk_size: int = 1
-    #: Iterations to consume before the first check.
-    min_iterations: int = 0
+    cadence: int = knob("cadence", 64)
+    patience: int = knob("patience", 3)
+    rtol: float = knob("rtol", 0.005)
+    drift_rtol: float = knob("drift_rtol", 0.02)
+    sl_rtol: float = knob("sl_rtol", 0.1)
+    chunk_size: int = option(1, help="arrival granularity of the replayed feed (default 1)")
+    min_iterations: int = knob("min_iterations", 0)
 
     def __post_init__(self) -> None:
         if isinstance(self.analysis, Mapping):

@@ -16,9 +16,9 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any
 
-from repro.api.spec import AnalysisSpec, ProjectionSpec, SpecBase
+from repro.api.spec import AnalysisSpec, ProjectionSpec, SpecBase, option
 from repro.errors import ConfigurationError
-from repro.stream.spec import IdentifierKnobs
+from repro.stream.spec import IdentifierKnobs, knob
 from repro.traffic.arrivals import (
     ARRIVAL_KINDS,
     ArrivalProcess,
@@ -40,31 +40,50 @@ class TrafficSpec(SpecBase, IdentifierKnobs):
     """
 
     analysis: AnalysisSpec
-    #: Arrival process kind (one of ``repro.traffic.ARRIVAL_KINDS``).
-    arrival: str = "poisson"
-    #: Mean request rate in requests/second (ignored by ``offline``).
-    rate: float = 64.0
-    #: Total requests the run serves.
-    requests: int = 1024
-    #: Dynamic batcher's max-wait trigger.
-    max_wait_s: float = 0.5
-    #: Bursty-arrival shape (ignored by the other kinds).
-    burst_factor: float = 3.0
-    on_fraction: float = 0.25
-    period_s: float = 1.0
-    #: Mixture schedule; one full-window phase is stationary traffic.
-    phases: tuple[TrafficPhase, ...] = (TrafficPhase(1.0),)
-    #: Overrides the dataset's pad multiple (``None``: keep it).
-    pad_multiple: int | None = None
-    #: Configs to project serving time onto (``None``: none).
-    targets: tuple[int, ...] | None = None
-    #: Streaming-identifier knobs (see ``IdentifierKnobs``).
-    cadence: int = 16
-    patience: int = 3
-    rtol: float = 0.005
-    drift_rtol: float = 0.02
-    sl_rtol: float = 0.1
-    min_iterations: int = 0
+    arrival: str = option(
+        "poisson", help="request arrival process (default poisson)", choices=ARRIVAL_KINDS
+    )
+    rate: float = option(
+        64.0, help="mean request rate in requests/second; offline ignores it (default 64)"
+    )
+    requests: int = option(1024, help="total requests to serve (default 1024)")
+    max_wait_s: float = option(
+        0.5,
+        help="dynamic batcher's max-wait trigger in seconds (default 0.5)",
+        flag="--max-wait",
+    )
+    burst_factor: float = option(
+        3.0, help="bursty arrivals: on-period rate multiplier (default 3.0)"
+    )
+    on_fraction: float = option(
+        0.25, help="bursty arrivals: fraction of each period on (default 0.25)"
+    )
+    period_s: float = option(
+        1.0, help="bursty arrivals: on/off period in seconds (default 1.0)"
+    )
+    phases: tuple[TrafficPhase, ...] = option(
+        (TrafficPhase(1.0),),
+        help="mixture schedule as a JSON list of phase objects, e.g. "
+        '\'[{"fraction": 0.5, "quantile_hi": 0.6}, '
+        '{"fraction": 0.5, "quantile_lo": 0.4}]\' (default: one stationary phase)',
+        metavar="JSON",
+        parse="json",
+    )
+    pad_multiple: int | None = option(
+        None, help="override the dataset's pad multiple (default: keep it)"
+    )
+    targets: tuple[int, ...] | None = option(
+        None,
+        help="comma-separated Table II configs to project serving time onto, "
+        "or 'all' (default: none)",
+        parse="targets",
+    )
+    cadence: int = knob("cadence", 16)
+    patience: int = knob("patience", 3)
+    rtol: float = knob("rtol", 0.005)
+    drift_rtol: float = knob("drift_rtol", 0.02)
+    sl_rtol: float = knob("sl_rtol", 0.1)
+    min_iterations: int = knob("min_iterations", 0)
 
     def __post_init__(self) -> None:
         if isinstance(self.analysis, Mapping):

@@ -1,10 +1,21 @@
 """Unit tests for the command-line interface."""
 
+import argparse
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.cli import build_parser, main
+import repro
+from repro.api.parallel import SweepSpec
+from repro.api.spec import AnalysisSpec, ProjectionSpec
+from repro.cli import ServeSpec, build_parser, main
+from repro.stream.spec import StreamSpec
+from repro.traffic.spec import TrafficSpec
 
 
 class TestVersion:
@@ -598,6 +609,254 @@ class TestParser:
             build_parser().parse_args([])
 
 
+_MODELS = ("cnn", "convs2s", "ds2", "gnmt", "transformer")
+_SELECTORS = (
+    "frequent", "kmeans", "median", "prior", "segmented", "segmented-drift",
+    "seqpoint", "worst",
+)
+_S, _A = "_StoreAction", "_AppendAction"
+
+
+def _opt(dest, type_=None, choices=None, default=None, action=_S, nargs=None):
+    return (dest, type_, choices, default, action, nargs)
+
+
+#: Flags shared verbatim by several subcommands.
+_FORMAT = {"--format": _opt("format", None, ("table", "json"), "table")}
+_SPEC = {"--spec": _opt("spec")}
+_CACHE_DIR = {"--cache-dir": _opt("cache_dir")}
+_PLAN_STORE_DIR = {"--plan-store-dir": _opt("plan_store_dir")}
+_ANALYSIS = {
+    "--network": _opt("network", None, _MODELS),
+    "--dataset": _opt("dataset", None, ("iwslt", "librispeech")),
+    "--batching": _opt(
+        "batching", None, ("pooled", "shuffled", "sortagrad", "sorted")
+    ),
+    "--batch-size": _opt("batch_size", "int"),
+    "--config": _opt("config", "int"),
+    "--scale": _opt("scale", "float"),
+    "--seed": _opt("seed", "int"),
+    "--selector": _opt("selector", None, _SELECTORS),
+    "--selector-arg": _opt("selector_arg", None, None, [], _A),
+}
+_KNOBS = {
+    "--cadence": _opt("cadence", "int"),
+    "--patience": _opt("patience", "int"),
+    "--rtol": _opt("rtol", "float"),
+    "--drift-rtol": _opt("drift_rtol", "float"),
+    "--sl-rtol": _opt("sl_rtol", "float"),
+    "--min-iterations": _opt("min_iterations", "int"),
+}
+
+#: The frozen flag surface of every subcommand: option string ->
+#: (dest, type, choices, argparse default, action, nargs).
+FLAG_SURFACE = {
+    "configs": {},
+    "identify": {
+        "--network": _opt("network", None, _MODELS),
+        "--scale": _opt("scale", "float", None, 0.1),
+        "--threshold": _opt("threshold", "float", None, 1.0),
+        **_FORMAT,
+    },
+    "analyze": {
+        **_SPEC, **_ANALYSIS,
+        "--targets": _opt("targets"),
+        **_FORMAT, **_CACHE_DIR,
+    },
+    "sweep": {
+        **_SPEC,
+        "--networks": _opt("networks"),
+        "--scales": _opt("scales"),
+        "--configs": _opt("configs"),
+        "--seeds": _opt("seeds"),
+        "--batch-sizes": _opt("batch_sizes"),
+        "--selectors": _opt("selectors"),
+        "--targets": _opt("targets"),
+        "--workers": _opt("workers", "int"),
+        "--mode": _opt("mode", None, ("serial", "process"), "process"),
+        **_CACHE_DIR, **_PLAN_STORE_DIR, **_FORMAT,
+    },
+    "stream": {
+        **_SPEC, **_ANALYSIS, **_KNOBS,
+        "--chunk-size": _opt("chunk_size", "int"),
+        **_FORMAT, **_CACHE_DIR,
+    },
+    "traffic": {
+        **_SPEC, **_ANALYSIS,
+        "--arrival": _opt(
+            "arrival", None, ("offline", "deterministic", "poisson", "bursty")
+        ),
+        "--rate": _opt("rate", "float"),
+        "--requests": _opt("requests", "int"),
+        "--max-wait": _opt("max_wait_s", "float"),
+        "--burst-factor": _opt("burst_factor", "float"),
+        "--on-fraction": _opt("on_fraction", "float"),
+        "--period-s": _opt("period_s", "float"),
+        "--phases": _opt("phases"),
+        "--pad-multiple": _opt("pad_multiple", "int"),
+        "--targets": _opt("targets"),
+        **_PLAN_STORE_DIR, **_KNOBS, **_FORMAT, **_CACHE_DIR,
+    },
+    "serve": {
+        **_SPEC,
+        "--host": _opt("host"),
+        "--port": _opt("port", "int"),
+        "--workers": _opt("workers", "int"),
+        "--sweep-mode": _opt("sweep_mode", None, ("serial", "process")),
+        "--sweep-workers": _opt("sweep_workers", "int"),
+        **_CACHE_DIR, **_PLAN_STORE_DIR,
+        "--cache-max-bytes": _opt("cache_max_bytes", "int"),
+        "--cache-max-entries": _opt("cache_max_entries", "int"),
+        "--queue-depth": _opt("queue_depth", "int"),
+        "--max-sessions": _opt("max_sessions", "int"),
+        "--check": _opt("check", None, None, False, "_StoreTrueAction", 0),
+    },
+    "trace": {
+        "trace_command": _opt(
+            "trace_command", None, ("convert",), None, "_SubParsersAction",
+            "A...",
+        ),
+    },
+    "experiments": {
+        "--scale": _opt("scale", "float", None, 0.1),
+        "--ids": _opt("ids"),
+        "--output": _opt("output"),
+    },
+}
+
+
+def _subcommands(parser) -> dict:
+    (commands,) = [
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return dict(commands.choices)
+
+
+def _surface(parser) -> dict:
+    surface = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        key = action.option_strings[0] if action.option_strings else action.dest
+        assert action.option_strings in ([key], [])
+        surface[key] = _opt(
+            action.dest,
+            getattr(action.type, "__name__", action.type),
+            None if action.choices is None else tuple(action.choices),
+            action.default,
+            type(action).__name__,
+            action.nargs,
+        )
+    return surface
+
+
+class TestFlagSurface:
+    """Every subcommand's flags, pinned: names, dests, types, defaults."""
+
+    def test_subcommands(self):
+        assert list(_subcommands(build_parser())) == list(FLAG_SURFACE)
+
+    @pytest.mark.parametrize("command", list(FLAG_SURFACE))
+    def test_flags(self, command):
+        parser = _subcommands(build_parser())[command]
+        assert _surface(parser) == FLAG_SURFACE[command]
+
+
+def _field_flags(*specs) -> list[str]:
+    """The flag each spec field declares, nested specs flattened."""
+    flags = []
+    for spec in specs:
+        for spec_field in dataclasses.fields(spec):
+            if spec_field.name == "analysis":
+                flags += _field_flags(AnalysisSpec)
+            else:
+                name = "--" + spec_field.name.replace("_", "-")
+                flags.append(spec_field.metadata.get("flag", name))
+    return flags
+
+
+class TestFlagsFromSpecs:
+    """A spec-driven command's flags are its spec fields, one each."""
+
+    #: Options of a run that are not spec fields.
+    RUN_OPTIONS = {
+        "analyze": {"--spec", "--format", "--cache-dir"},
+        "sweep": {"--spec", "--workers", "--mode", "--cache-dir",
+                  "--plan-store-dir", "--format"},
+        "stream": {"--spec", "--format", "--cache-dir"},
+        "traffic": {"--spec", "--plan-store-dir", "--format", "--cache-dir"},
+        "serve": {"--spec", "--check"},
+    }
+    SPECS = {
+        "analyze": (AnalysisSpec, ProjectionSpec),
+        "sweep": (SweepSpec,),
+        "stream": (StreamSpec,),
+        "traffic": (TrafficSpec,),
+        "serve": (ServeSpec,),
+    }
+
+    @pytest.mark.parametrize("command", list(SPECS))
+    def test_one_flag_per_field(self, command):
+        parser = _subcommands(build_parser())[command]
+        options = {
+            option
+            for action in parser._actions
+            if not isinstance(action, argparse._HelpAction)
+            for option in action.option_strings
+        }
+        flags = _field_flags(*self.SPECS[command])
+        assert len(flags) == len(set(flags))
+        assert sorted(flags) == sorted(options - self.RUN_OPTIONS[command])
+
+    def test_every_flag_reaches_its_field(self, capsys):
+        """Each traffic flag, nested analysis included, sets its field."""
+        assert main(
+            ["traffic", "--network", "gnmt", "--dataset", "iwslt",
+             "--batching", "sorted", "--batch-size", "32", "--config", "2",
+             "--scale", "0.02", "--seed", "3", "--selector", "kmeans",
+             "--selector-arg", "k=2", "--arrival", "bursty", "--rate", "32",
+             "--requests", "48", "--max-wait", "0.25", "--burst-factor", "2",
+             "--on-fraction", "0.25", "--period-s", "0.5",
+             "--phases", '[{"fraction": 1.0, "quantile_hi": 0.9}]',
+             "--pad-multiple", "4", "--targets", "1,3", "--cadence", "4",
+             "--patience", "2", "--rtol", "0.05", "--drift-rtol", "0.1",
+             "--sl-rtol", "0.2", "--min-iterations", "1", "--format", "json"]
+        ) == 0
+        assert json.loads(capsys.readouterr().out)["spec"] == {
+            "analysis": {
+                "network": "gnmt", "dataset": "iwslt", "batching": "sorted",
+                "batch_size": 32, "config": 2, "scale": 0.02, "seed": 3,
+                "selector": "kmeans", "selector_kwargs": {"k": 2},
+            },
+            "arrival": "bursty", "rate": 32.0, "requests": 48,
+            "max_wait_s": 0.25, "burst_factor": 2.0, "on_fraction": 0.25,
+            "period_s": 0.5,
+            "phases": [{"fraction": 1.0, "quantile_lo": 0.0, "quantile_hi": 0.9}],
+            "pad_multiple": 4, "targets": [1, 3], "cadence": 4, "patience": 2,
+            "rtol": 0.05, "drift_rtol": 0.1, "sl_rtol": 0.2, "min_iterations": 1,
+        }
+
+    def test_every_field_has_help(self):
+        for specs in self.SPECS.values():
+            for spec in specs:
+                for spec_field in dataclasses.fields(spec):
+                    assert spec_field.name == "analysis" or spec_field.metadata["help"]
+
+    def test_parser_does_not_import_the_daemon(self):
+        """Building every command's flags leaves repro.serve unloaded."""
+        code = (
+            "import sys, repro.cli; repro.cli.build_parser(); "
+            "loaded = [m for m in sys.modules if m.startswith('repro.serve')]; "
+            "assert not loaded, loaded"
+        )
+        source = str(Path(repro.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [source, os.environ.get("PYTHONPATH", "")]
+        )}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
 class TestServe:
     def test_check_smoke(self, capsys):
         """`repro serve --check` binds, self-requests, runs one job."""
@@ -663,3 +922,19 @@ class TestServe:
             ["serve", "--check", "--spec", str(spec_file), "--workers", "1"]
         ) == 0
         assert "serve check ok" in capsys.readouterr().out
+
+    def test_spec_with_unsupported_version_exits_2(self, tmp_path, capsys):
+        spec_file = tmp_path / "serve.json"
+        spec_file.write_text(json.dumps({"v": 99}), encoding="utf-8")
+        assert main(["serve", "--check", "--spec", str(spec_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "version 99 is not supported" in err
+
+    def test_spec_with_wrongly_typed_field_names_it(self, tmp_path, capsys):
+        spec_file = tmp_path / "serve.json"
+        spec_file.write_text(json.dumps({"workers": "2"}), encoding="utf-8")
+        assert main(["serve", "--check", "--spec", str(spec_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "workers must be int, got '2'" in err

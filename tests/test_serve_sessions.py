@@ -42,7 +42,7 @@ class TestLiveSessions:
         assert snapshot["iterations_consumed"] == 0
 
         for _ in range(20):
-            snapshot = session.feed_records(CYCLE * 5)
+            snapshot = session.feed_records({"records": CYCLE * 5})
             if snapshot["converged"]:
                 break
         assert snapshot["converged"] is True
@@ -59,15 +59,29 @@ class TestLiveSessions:
 
     def test_finish_is_idempotent(self, manager):
         session = manager.create(stream_spec())
-        session.feed_records(CYCLE * 25)
+        session.feed_records({"records": CYCLE * 25})
         assert session.finish() == session.finish()
 
     def test_feed_after_finish_rejected(self, manager):
         session = manager.create(stream_spec())
-        session.feed_records(CYCLE)
+        session.feed_records({"records": CYCLE})
         session.finish()
         with pytest.raises(ConfigurationError, match="finished"):
-            session.feed_records(CYCLE)
+            session.feed_records({"records": CYCLE})
+
+    def test_bad_chunk_consumes_nothing(self, manager):
+        """A chunk with one bad record is refused whole, and the session
+        stays usable: the next good chunk and finish() succeed."""
+        session = manager.create(stream_spec(cadence=4))
+        bad = [{"seq_len": 10, "time_s": 0.1}, {"seq_len": 20, "time_s": float("nan")}]
+        with pytest.raises(ConfigurationError, match="records\\[1\\]: time_s") as refused:
+            session.feed_records({"records": bad})
+        assert "\n" not in str(refused.value)
+        assert session.snapshot()["iterations_consumed"] == 0
+
+        snapshot = session.feed_records({"records": CYCLE * 2})
+        assert snapshot["iterations_consumed"] == 8
+        assert session.finish()["iterations_consumed"] == 8
 
     def test_finish_before_any_feed_rejected(self, manager):
         session = manager.create(stream_spec())
@@ -110,7 +124,7 @@ class TestReplaySessions:
     def test_records_rejected_for_replay_sessions(self, manager):
         session = manager.create(stream_spec(), replay=True)
         with pytest.raises(ProtocolError, match="replay"):
-            session.feed_records(CYCLE)
+            session.feed_records({"records": CYCLE})
 
     def test_advance_must_be_positive(self, manager):
         session = manager.create(stream_spec(), replay=True)
@@ -166,7 +180,7 @@ class TestSessionManager:
         live = manager.create(stream_spec())
         manager.create(stream_spec(), replay=True)
         for _ in range(20):
-            if live.feed_records(CYCLE * 5)["converged"]:
+            if live.feed_records({"records": CYCLE * 5})["converged"]:
                 break
         snapshot = manager.snapshot()
         assert snapshot["open"] == 2
