@@ -837,8 +837,8 @@ class AnalysisEngine:
 
         Process mode shares this engine's on-disk cache directory with
         the workers (falling back to ``cache_dir`` or a per-sweep
-        temporary directory for memory-only caches); serial and thread
-        modes run on this engine directly.  ``plan_store_dir`` shares
+        temporary directory for memory-only caches); serial mode runs on
+        this engine directly.  ``plan_store_dir`` shares
         compiled lowerings machine-wide.  See
         :func:`repro.api.parallel.run_sweep`.
         """

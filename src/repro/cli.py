@@ -190,6 +190,19 @@ class ServeSpec(SpecBase):
                 f"sweep_mode must be one of: {', '.join(SWEEP_MODES)}, "
                 f"got {self.sweep_mode!r}"
             )
+        # Counts of threads, processes, bytes, entries, jobs and sessions.
+        counts = (
+            "workers",
+            "sweep_workers",
+            "cache_max_bytes",
+            "cache_max_entries",
+            "queue_depth",
+            "max_sessions",
+        )
+        for name in counts:
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigurationError(f"{name} must be positive, got {value}")
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)
@@ -810,7 +823,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"serve: cannot bind {host}:{port}: {exc}", file=sys.stderr)
         return 2
-    except (TypeError, ValueError) as exc:
+    except (ReproError, TypeError, ValueError) as exc:
         print(f"serve: {exc}", file=sys.stderr)
         return 2
     if args.check:

@@ -4,7 +4,8 @@ This package stands in for the paper's hardware substrate: an AMD Radeon
 Vega Frontier Edition GPU profiled with the Radeon Compute Profiler.  It
 is *not* a cycle-accurate simulator; it is a calibrated analytical model
 (roofline compute/memory bounds, capacity-based cache hit rates, launch
-and latency overheads) that produces, for every kernel invocation:
+and latency overheads) that times whole columns of kernel invocations
+at once and produces, for every one:
 
 * a runtime that responds to the Table II knobs — GPU clock, CU count,
   L1 presence, L2 presence — with sensitivities that depend on the
@@ -24,7 +25,7 @@ from repro.hw.config import (
     paper_config,
 )
 from repro.hw.counters import CounterSet
-from repro.hw.device import GpuDevice, KernelMeasurement
+from repro.hw.device import GpuDevice
 
 __all__ = [
     "HardwareConfig",
@@ -33,5 +34,4 @@ __all__ = [
     "paper_config",
     "CounterSet",
     "GpuDevice",
-    "KernelMeasurement",
 ]

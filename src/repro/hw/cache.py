@@ -12,6 +12,12 @@ working set exceeds capacity (the standard LRU-streaming approximation).
 Disabling a cache (size zero, paper configs #4 and #5) drops its hit
 rate to zero, pushing the traffic down one level — which is exactly the
 knob Figs 13-16 of the paper exercise.
+
+Traffic is resolved for whole columns of kernels at once
+(:func:`resolve_traffic_batch`, called by
+:func:`~repro.hw.timing.time_work_batch`).  ``tests/reference.py``
+keeps the one-kernel scalar form as the oracle it is checked against,
+bit for bit (tests/test_hw_batch.py).
 """
 
 from __future__ import annotations
@@ -25,9 +31,7 @@ from repro.hw.config import HardwareConfig
 
 __all__ = [
     "TrafficProfile",
-    "MemoryTraffic",
     "MemoryTrafficBatch",
-    "resolve_traffic",
     "resolve_traffic_batch",
     "capacity_factor",
     "capacity_factor_batch",
@@ -83,23 +87,6 @@ class TrafficProfile:
         )
 
 
-@dataclass(frozen=True)
-class MemoryTraffic:
-    """Traffic resolved against a concrete cache hierarchy."""
-
-    l1_read_bytes: float
-    l2_read_bytes: float
-    dram_read_bytes: float
-    dram_write_bytes: float
-    l1_hit_rate: float
-    l2_hit_rate: float
-
-    @property
-    def dram_bytes(self) -> float:
-        """Total DRAM traffic (reads plus writes)."""
-        return self.dram_read_bytes + self.dram_write_bytes
-
-
 def capacity_factor(working_set: float, capacity: float) -> float:
     """Fraction of a reuse pattern a cache of ``capacity`` bytes captures.
 
@@ -114,48 +101,10 @@ def capacity_factor(working_set: float, capacity: float) -> float:
     return min(1.0, capacity / working_set)
 
 
-def resolve_traffic(
-    profile: TrafficProfile, config: HardwareConfig
-) -> MemoryTraffic:
-    """Push a kernel's traffic through ``config``'s cache hierarchy.
-
-    Writes are modelled as write-through with write-combining: they
-    appear as DRAM write traffic regardless of cache configuration
-    (GPU L1s are typically write-through, and the paper's write-stall
-    counter tracks DRAM write pressure).
-    """
-    l1_capture = capacity_factor(profile.l1_working_set, config.l1_bytes)
-    l1_hit_rate = profile.l1_reuse_fraction * l1_capture if config.l1_enabled else 0.0
-
-    l2_reads = profile.read_bytes * (1.0 - l1_hit_rate)
-
-    # L2 additionally captures the reuse L1 *would* have captured but
-    # could not (capacity overflow or disabled L1): that spilled reuse
-    # lands one level down, where the bigger cache usually holds it.
-    spilled_reuse = profile.l1_reuse_fraction - l1_hit_rate
-    l2_candidate = min(1.0, profile.l2_reuse_fraction + spilled_reuse)
-    l2_capture = capacity_factor(
-        max(profile.l2_working_set, profile.l1_working_set), config.l2_bytes
-    )
-    l2_hit_rate = l2_candidate * l2_capture if config.l2_enabled else 0.0
-
-    dram_reads = l2_reads * (1.0 - l2_hit_rate)
-    return MemoryTraffic(
-        l1_read_bytes=profile.read_bytes,
-        l2_read_bytes=l2_reads,
-        dram_read_bytes=dram_reads,
-        dram_write_bytes=profile.write_bytes,
-        l1_hit_rate=l1_hit_rate,
-        l2_hit_rate=l2_hit_rate,
-    )
-
-
-# -- vectorized (column) forms ----------------------------------------
-
-
 @dataclass(frozen=True, eq=False)
 class MemoryTrafficBatch:
-    """Columns of :class:`MemoryTraffic`, one row per kernel."""
+    """Traffic resolved against a concrete cache hierarchy, one row per
+    kernel."""
 
     l1_read_bytes: np.ndarray
     l2_read_bytes: np.ndarray
@@ -168,17 +117,6 @@ class MemoryTrafficBatch:
     def dram_bytes(self) -> np.ndarray:
         """Total DRAM traffic (reads plus writes), per row."""
         return self.dram_read_bytes + self.dram_write_bytes
-
-    def row(self, i: int) -> MemoryTraffic:
-        """Materialise one row as a scalar :class:`MemoryTraffic`."""
-        return MemoryTraffic(
-            l1_read_bytes=float(self.l1_read_bytes[i]),
-            l2_read_bytes=float(self.l2_read_bytes[i]),
-            dram_read_bytes=float(self.dram_read_bytes[i]),
-            dram_write_bytes=float(self.dram_write_bytes[i]),
-            l1_hit_rate=float(self.l1_hit_rate[i]),
-            l2_hit_rate=float(self.l2_hit_rate[i]),
-        )
 
 
 def capacity_factor_batch(working_set: np.ndarray, capacity: float) -> np.ndarray:
@@ -201,10 +139,13 @@ def resolve_traffic_batch(
     l2_working_set: np.ndarray,
     config: HardwareConfig,
 ) -> MemoryTrafficBatch:
-    """Column form of :func:`resolve_traffic`.
+    """Push each kernel's traffic through ``config``'s cache hierarchy.
 
-    Mirrors the scalar function expression for expression so each row is
-    bit-identical to resolving that kernel's profile alone.
+    Writes are modelled as write-through with write-combining: they
+    appear as DRAM write traffic regardless of cache configuration
+    (GPU L1s are typically write-through, and the paper's write-stall
+    counter tracks DRAM write pressure).  Rows are independent, so each
+    equals resolving that kernel's profile alone.
     """
     l1_capture = capacity_factor_batch(l1_working_set, config.l1_bytes)
     if config.l1_enabled:
@@ -214,6 +155,9 @@ def resolve_traffic_batch(
 
     l2_reads = read_bytes * (1.0 - l1_hit_rate)
 
+    # L2 additionally captures the reuse L1 *would* have captured but
+    # could not (capacity overflow or disabled L1): that spilled reuse
+    # lands one level down, where the bigger cache usually holds it.
     spilled_reuse = l1_reuse_fraction - l1_hit_rate
     l2_candidate = np.minimum(1.0, l2_reuse_fraction + spilled_reuse)
     l2_capture = capacity_factor_batch(

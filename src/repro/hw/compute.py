@@ -13,11 +13,18 @@ kernel's parallelism into an achievable FLOP rate:
 * **tail effect** — the last partially filled round of workgroups
   leaves CUs idle (classic wave-quantisation), which also shrinks as
   sequences grow.
+
+The model is evaluated on whole columns of kernels at once (the
+``_batch`` functions below, called by
+:func:`~repro.hw.timing.time_work_batch`).  All integer quantities stay
+exact in float64: work-item and FLOP counts in the modelled networks
+are far below 2**53.  ``tests/reference.py`` keeps the one-kernel
+scalar form of every formula as the oracle they are checked against,
+bit for bit (tests/test_hw_batch.py).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +34,6 @@ from repro.hw.config import HardwareConfig
 
 __all__ = [
     "ComputeProfile",
-    "compute_time",
-    "parallel_efficiency",
     "waves_batch",
     "parallel_efficiency_batch",
     "compute_time_batch",
@@ -62,50 +67,9 @@ class ComputeProfile:
         if self.workgroup_size <= 0:
             raise ConfigurationError("workgroup_size must be positive")
 
-    @property
-    def workgroups(self) -> int:
-        return max(1, math.ceil(self.work_items / self.workgroup_size))
-
-    def waves(self, config: HardwareConfig) -> float:
-        return max(1.0, self.work_items / config.wave_size)
-
-
-def parallel_efficiency(profile: ComputeProfile, config: HardwareConfig) -> float:
-    """Fraction of the machine this kernel can actually keep busy."""
-    # Occupancy: how full are the machine's wave slots?
-    wave_slots = config.num_cus * _LATENCY_HIDING_WAVES
-    occupancy = min(1.0, profile.waves(config) / wave_slots)
-
-    # Tail: the final round of workgroups only fills part of the machine.
-    workgroups = profile.workgroups
-    rounds = math.ceil(workgroups / config.num_cus)
-    tail = workgroups / (rounds * config.num_cus)
-
-    return occupancy * tail
-
-
-def compute_time(profile: ComputeProfile, config: HardwareConfig) -> float:
-    """Seconds the ALUs need for this kernel on ``config``."""
-    if profile.flops == 0.0:
-        return 0.0
-    efficiency = profile.issue_efficiency * parallel_efficiency(profile, config)
-    achievable = config.peak_flops * max(efficiency, 1e-6)
-    return profile.flops / achievable
-
-
-# -- vectorized (column) forms ----------------------------------------
-#
-# The batch functions below evaluate whole columns of kernels at once.
-# They mirror the scalar formulas operation for operation — same
-# expressions, same association, same tie handling — so their results
-# are bit-identical to looping the scalar versions (asserted in
-# tests/test_hw_batch.py).  All integer quantities stay exact in
-# float64: work-item and FLOP counts in the modelled networks are far
-# below 2**53.
-
 
 def waves_batch(work_items: np.ndarray, config: HardwareConfig) -> np.ndarray:
-    """Column form of :meth:`ComputeProfile.waves`."""
+    """Waves each kernel launches (at least one)."""
     return np.maximum(1.0, work_items / config.wave_size)
 
 
@@ -114,10 +78,12 @@ def parallel_efficiency_batch(
     workgroup_size: np.ndarray,
     config: HardwareConfig,
 ) -> np.ndarray:
-    """Column form of :func:`parallel_efficiency`."""
+    """Fraction of the machine each kernel can actually keep busy."""
+    # Occupancy: how full are the machine's wave slots?
     wave_slots = config.num_cus * _LATENCY_HIDING_WAVES
     occupancy = np.minimum(1.0, waves_batch(work_items, config) / wave_slots)
 
+    # Tail: the final round of workgroups only fills part of the machine.
     workgroups = np.maximum(1.0, np.ceil(work_items / workgroup_size))
     rounds = np.ceil(workgroups / config.num_cus)
     tail = workgroups / (rounds * config.num_cus)
@@ -132,10 +98,10 @@ def compute_time_batch(
     workgroup_size: np.ndarray,
     config: HardwareConfig,
 ) -> np.ndarray:
-    """Column form of :func:`compute_time`.
+    """Seconds the ALUs need for each kernel on ``config``.
 
     ``achievable`` is always positive, so a zero-FLOP kernel divides to
-    exactly ``+0.0`` — the same value the scalar early return produces.
+    exactly ``+0.0``.
     """
     efficiency = issue_efficiency * parallel_efficiency_batch(
         work_items, workgroup_size, config

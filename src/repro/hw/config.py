@@ -61,7 +61,7 @@ class HardwareConfig:
             raise ConfigurationError(f"{self.name}: dram_bandwidth must be positive")
 
     def __hash__(self) -> int:
-        # Configs key every kernel-selection and measurement memo, and
+        # Configs key every kernel-selection memo and the plan cache, and
         # the generated hash tuples all 17 fields per lookup — cache it
         # (instances are frozen).  Matches the generated hash: the
         # tuple of all fields, in declaration order.

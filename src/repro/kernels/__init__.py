@@ -38,8 +38,7 @@ def clear_lowering_caches() -> None:
     """Drop every lowering-side memo in the kernel zoo.
 
     Benchmarks that measure genuinely *cold* epoch simulation call this
-    (plus :func:`repro.hw.device.clear_measure_caches` and
-    ``PLAN_CACHE.clear()``) so no prior run's invocations, variant
+    (plus ``PLAN_CACHE.clear()``) so no prior run's invocations, variant
     races, or dispatch decisions leak into the measurement.
     """
     clear_gemm_caches()

@@ -7,9 +7,9 @@ Observation 3), a logical *op*, a reporting *group* used by the kernel
 distribution figures (GEMM-1 / GEMM-2 / reduce / scalar-op / ...), the
 logical shape, and the hardware-facing :class:`WorkProfile`.
 
-Invocations are frozen and hashable so the iteration executor can
-deduplicate repeated launches (an LSTM re-launches its recurrent GEMM
-once per time step) and the device can memoise their measurements.
+Invocations are frozen and hashable so schedules and compiled plans
+can deduplicate repeated launches (an LSTM re-launches its recurrent
+GEMM once per time step).
 """
 
 from __future__ import annotations

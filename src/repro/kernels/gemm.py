@@ -223,7 +223,7 @@ def _race_env(config: HardwareConfig):
     Everything here depends only on the variant's tile constants and the
     hardware configuration, never on the problem dims, so the race loop
     in :func:`candidate_times` recomputes none of it.  Each folded value
-    is produced by the *same* expression the scalar pipeline evaluates
+    is produced by the *same* expression the timing model evaluates
     (e.g. ``l1_hit = l1_reuse_fraction * capacity_factor(...)``), so
     folding preserves bit-identity.
     """
@@ -240,7 +240,7 @@ def _race_env(config: HardwareConfig):
         l1_capture = capacity_factor(l1_working_set, config.l1_bytes)
         l1_hit = _L1_REUSE_FRACTION * l1_capture if config.l1_enabled else 0.0
         spilled = _L1_REUSE_FRACTION - l1_hit
-        # _average_latency_cycles' L1 term: hit fraction x L1 latency.
+        # _average_latency_cycles_batch's L1 term: hit fraction x L1 latency.
         l1_latency_term = l1_hit * config.l1_latency_cycles
         per_variant.append(
             (
@@ -274,9 +274,11 @@ def candidate_times(
     The shared primitive behind library dispatch (:func:`gemm` takes the
     argmin) and the autotune phase (:class:`~repro.kernels.autotune.Autotuner`
     sums its pruned candidate subset).  Each entry is bit-identical to
-    ``time_work(build_gemm(variant, m, n, k).work, config)[0]`` —
-    asserted in tests/test_plan_equivalence.py.  Memoised in the race
-    memo, which :func:`candidate_times_many` also seeds.
+    timing ``build_gemm(variant, m, n, k).work`` on ``config`` with
+    :func:`~repro.hw.timing.time_work_batch` (tests/test_plan_equivalence.py
+    checks it against the scalar oracle in ``tests/reference.py``).
+    Memoised in the race memo, which :func:`candidate_times_many` also
+    seeds.
     """
     key = (m, n, k, config)
     times = _RACE_ROWS.get(key)
@@ -298,10 +300,12 @@ def _candidate_times_scalar(
     problem is not raced through
     :func:`~repro.hw.timing.time_work_batch`: every problem-independent
     term is precomputed per config by :func:`_race_env`, and the
-    remaining expressions replicate :func:`build_gemm` +
-    :func:`~repro.hw.timing.time_work` literally (integer intermediates
-    stay integers, same association order, and only the runtime is
-    computed — no breakdown or counters).
+    remaining expressions replicate :func:`build_gemm` and the timing
+    model (:mod:`repro.hw.timing`, :mod:`repro.hw.compute`,
+    :mod:`repro.hw.cache`) one kernel at a time, inlined and
+    constant-folded (integer intermediates stay integers, same
+    association order, and only the runtime is computed — no breakdown
+    or counters).
     """
     if min(m, n, k) <= 0:
         raise KernelSelectionError(f"GEMM dims must be positive, got {(m, n, k)}")
@@ -345,7 +349,7 @@ def _candidate_times_scalar(
         if read_bytes > 0:
             l2_reuse = max(0.0, 1.0 - unique_bytes / read_bytes)
 
-        # resolve_traffic.  capacity_factor is inlined for the enabled
+        # resolve_traffic_batch.  capacity_factor is inlined for the enabled
         # case; its working set max(unique, l1_ws) is always positive.
         l2_reads = read_bytes * (1.0 - l1_hit)
         if l2_enabled:
@@ -358,7 +362,7 @@ def _candidate_times_scalar(
             l2_hit = 0.0
         dram_reads = l2_reads * (1.0 - l2_hit)
 
-        # compute_time (flops > 0 for any valid problem).
+        # compute_time_batch (flops > 0 for any valid problem).
         waves = max(1.0, work_items / wave_size)
         occupancy = min(1.0, waves / wave_slots)
         workgroup_count = max(1, ceil(work_items / 256))
@@ -368,7 +372,7 @@ def _candidate_times_scalar(
         achievable = peak_flops * max(efficiency, 1e-6)
         compute_s = flops / achievable
 
-        # _bandwidth_time.
+        # _bandwidth_time_batch.
         bandwidth_s = (dram_reads + write_bytes) / dram_bandwidth
         if l2_enabled:
             bandwidth_s = max(
@@ -377,7 +381,7 @@ def _candidate_times_scalar(
         if l1_enabled:
             bandwidth_s = max(bandwidth_s, read_bytes / l1_bandwidth)
 
-        # _latency_time (read_bytes > 0 for any valid problem).
+        # _latency_time_batch (read_bytes > 0 for any valid problem).
         l2_served = (l2_reads - dram_reads) / max(read_bytes, 1e-30)
         dram_fraction = dram_reads / read_bytes
         cycles_per_round = (

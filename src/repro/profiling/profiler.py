@@ -5,6 +5,14 @@ training process.  Profiling is not free: collecting per-kernel
 counters replays kernels and serialises the pipeline, inflating wall
 time by ``overhead_multiplier`` (GPU profilers commonly cost 5-15x; the
 paper's motivation §III calls these "often-significant overheads").
+
+An iteration is profiled from the same compiled plan the analysis
+pipeline times: the profiler asks an
+:class:`~repro.train.iteration.IterationExecutor` for the shape's
+training plan (through the process-wide plan cache), times it with one
+:meth:`~repro.hw.device.GpuDevice.run_batch` call, and walks its merged
+rows in order.  So a profile's time and counters equal the executor's
+result for that shape (host overhead aside).
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ from repro.hw.counters import CounterSet
 from repro.hw.device import GpuDevice
 from repro.models.spec import IterationInputs, Model
 from repro.profiling.profiles import ExecutionProfile
+from repro.train.iteration import IterationExecutor
 from repro.util.stats import sequential_sum
 
 __all__ = ["Profiler", "IterationProfile", "DEFAULT_PROFILING_OVERHEAD"]
@@ -58,24 +67,28 @@ class Profiler:
         self.model = model
         self.device = device
         self.overhead_multiplier = overhead_multiplier
+        self._executor = IterationExecutor(model, device)
 
     def profile_iteration(self, inputs: IterationInputs) -> IterationProfile:
         """Run one training iteration under the profiler."""
-        schedule = self.model.lower_iteration(inputs, self.device.config)
+        (plan,) = self._executor.plans_for((inputs,), "train")
+        measurement = self.device.run_batch(plan.work)
+        times = measurement.time_s.tolist()
+        flops = plan.work.flops.tolist()
         profile = ExecutionProfile()
         counters = CounterSet.zero()
         time_s = 0.0
-        for invocation, count in schedule.merged():
-            measurement = self.device.run(invocation.work)
+        rows = zip(plan.counts.tolist(), plan.name_id.tolist(), plan.group_id.tolist())
+        for row, (count, name_id, group_id) in enumerate(rows):
             profile.record(
-                name=invocation.name,
-                group=invocation.group,
-                time_s=measurement.time_s * count,
-                flops=invocation.flops * count,
+                name=plan.names[name_id],
+                group=plan.groups[group_id],
+                time_s=times[row] * count,
+                flops=flops[row] * count,
                 launches=count,
             )
-            counters = counters + measurement.counters.scaled(count)
-            time_s += measurement.time_s * count
+            counters = counters + measurement.counters.row(row).scaled(count)
+            time_s += times[row] * count
         return IterationProfile(
             inputs=inputs, time_s=time_s, profile=profile, counters=counters
         )

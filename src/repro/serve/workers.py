@@ -33,6 +33,7 @@ from typing import Any
 
 from repro.api.engine import AnalysisEngine
 from repro.api.parallel import (
+    SWEEP_MODES,
     SweepRun,
     _worker_analyze,
     _worker_init,
@@ -64,9 +65,14 @@ class WorkerPool:
     ):
         if workers < 1:
             raise ConfigurationError(f"workers must be positive, got {workers}")
-        if sweep_mode not in ("serial", "process"):
+        if sweep_mode not in SWEEP_MODES:
             raise ConfigurationError(
-                f"sweep_mode must be 'serial' or 'process', got {sweep_mode!r}"
+                f"sweep_mode must be one of: {', '.join(SWEEP_MODES)}, "
+                f"got {sweep_mode!r}"
+            )
+        if sweep_workers is not None and sweep_workers < 1:
+            raise ConfigurationError(
+                f"sweep_workers must be positive, got {sweep_workers}"
             )
         self.queue = queue
         self.engine = engine

@@ -151,7 +151,7 @@ class IterationExecutor:
             "config": dataclasses.asdict(self.device.config),
         }
 
-    def _plans_for(
+    def plans_for(
         self, inputs_seq: Sequence[IterationInputs], kind: str
     ) -> list[SchedulePlan]:
         """These shapes' compiled plans, through the process-wide cache.
@@ -290,7 +290,7 @@ class IterationExecutor:
         (:meth:`run_forward`).  The entry point for whole epochs,
         evaluation passes and serving: every shape missing from this
         executor's memo (first appearance order) gets its plan from
-        :meth:`_plans_for` and is timed by :meth:`_time_plans`.  Repeats
+        :meth:`plans_for` and is timed by :meth:`_time_plans`.  Repeats
         map back to their shape's one result.
         """
         results = self._results[kind]
@@ -300,7 +300,7 @@ class IterationExecutor:
             if key not in results:
                 missing.setdefault(key, inputs)
         if missing:
-            plans = self._plans_for(list(missing.values()), kind)
+            plans = self.plans_for(list(missing.values()), kind)
             results.update(zip(missing, self._time_plans(plans)))
         return [results[self._key(inputs)] for inputs in inputs_seq]
 

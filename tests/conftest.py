@@ -4,16 +4,22 @@
 methodology is testable without simulating a network; every trace
 built from records goes through ``trace_of``, and every feed chunk of
 records through ``chunk_of``.  The device and model fixtures cover the
-substrate tests.  Everything is deterministic.
+substrate tests, and ``one_row`` runs their one-kernel cases through
+the batch timing model.  Everything is deterministic.
 """
 
 from __future__ import annotations
 
+import inspect
+
+import numpy as np
 import pytest
 
+from repro.hw.cache import MemoryTrafficBatch
 from repro.hw.config import paper_config
 from repro.hw.counters import CounterSet
-from repro.hw.device import GpuDevice
+from repro.hw.device import BatchMeasurement, GpuDevice
+from repro.hw.timing import WorkBatch, WorkProfile
 from repro.stream.feed import FrameSlice
 from repro.train.frame import SCHEMA_V1, TraceFrame
 from repro.train.trace import IterationRecord, TrainingTrace
@@ -30,6 +36,31 @@ def device1() -> GpuDevice:
 def devices() -> dict[int, GpuDevice]:
     """All five Table II devices."""
     return {index: GpuDevice(paper_config(index)) for index in range(1, 6)}
+
+
+def one_row(column_form, profile, *config):
+    """``profile`` alone through a column form of the batch timing model,
+    read back as the scalar oracle's types (``tests/reference.py``).
+
+    A ``WorkProfile`` goes to a device's ``run_batch``, or to
+    ``time_work_batch`` with a config, and comes back as a
+    ``Measurement``.  A ``ComputeProfile`` or ``TrafficProfile`` goes to
+    a column function of ``repro.hw.compute`` or ``repro.hw.cache``,
+    each parameter before ``config`` being the profile's field of that
+    name, and comes back as a float or a ``MemoryTraffic``.
+    """
+    from tests import reference  # reference imports this module
+
+    if isinstance(profile, WorkProfile):
+        result = column_form(WorkBatch.from_profiles([profile]), *config)
+        if isinstance(result, tuple):
+            result = BatchMeasurement(*result)
+        return reference.measurement_row(result, 0)
+    names = list(inspect.signature(column_form).parameters)[:-1]
+    result = column_form(*(np.array([float(getattr(profile, n))]) for n in names), *config)
+    if isinstance(result, MemoryTrafficBatch):
+        return reference.traffic_row(result, 0)
+    return float(result[0])
 
 
 def make_record(

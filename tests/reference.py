@@ -1,12 +1,14 @@
 """Scalar reference implementations of the simulation stages.
 
-The library has one implementation per stage: plans timed in batched
-device calls, shape-memoized epochs and passes, a columnar serve and
-columnar batch formation.  Each replaced a scalar loop that walks the
-same work one kernel, iteration, batch or arrival at a time.  Those
-loops live here, changed only to take the executor or simulator they
-used to be methods of as an argument, and the equivalence tests
-(test_plan_equivalence.py, test_columnar_equivalence.py,
+The library has one implementation per stage: a timing model that
+evaluates whole columns of kernels, plans timed in batched device
+calls, shape-memoized epochs and passes, a columnar serve and columnar
+batch formation.  Each replaced a scalar form that works one kernel,
+iteration, batch or arrival at a time.  Those forms live here: the
+timing model one kernel at a time (:func:`time_work`), and the loops,
+changed only to take the executor or simulator they used to be methods
+of as an argument.  The equivalence tests (test_hw_batch.py,
+test_plan_equivalence.py, test_columnar_equivalence.py,
 test_properties_traffic.py) compare the library against them bit for
 bit.
 """
@@ -14,12 +16,18 @@ bit.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.hw.cache import MemoryTrafficBatch, TrafficProfile, capacity_factor
+from repro.hw.compute import _LATENCY_HIDING_WAVES, ComputeProfile
+from repro.hw.config import HardwareConfig
 from repro.hw.counters import CounterSet
-from repro.hw.timing import time_work
+from repro.hw.device import BatchMeasurement
+from repro.hw.timing import _INFLIGHT_BYTES_PER_WAVE, TimingBreakdownBatch, WorkProfile
 from repro.kernels.autotune import _TRIALS_PER_VARIANT, _candidate_indices
 from repro.kernels.gemm import GEMM_VARIANTS, GemmVariant, build_gemm
 from repro.models.schedule import KernelSchedule
@@ -30,6 +38,206 @@ from repro.train.frame import NO_TGT, IterationProfile, TraceFrame
 from repro.train.iteration import IterationResult
 from repro.train.trace import IterationRecord, TrainingTrace
 from tests.conftest import trace_of
+
+# ---- the timing model, one kernel at a time ---------------------------
+
+
+@dataclass(frozen=True)
+class MemoryTraffic:
+    """Traffic resolved against a concrete cache hierarchy."""
+
+    l1_read_bytes: float
+    l2_read_bytes: float
+    dram_read_bytes: float
+    dram_write_bytes: float
+    l1_hit_rate: float
+    l2_hit_rate: float
+
+    @property
+    def dram_bytes(self) -> float:
+        return self.dram_read_bytes + self.dram_write_bytes
+
+
+@dataclass(frozen=True)
+class TimingBreakdown:
+    """Where one kernel's time went."""
+
+    launch_s: float
+    compute_s: float
+    bandwidth_s: float
+    latency_s: float
+    traffic: MemoryTraffic
+
+    @property
+    def total_s(self) -> float:
+        return self.launch_s + max(self.compute_s, self.bandwidth_s, self.latency_s)
+
+    @property
+    def bound(self) -> str:
+        """Which term binds; ``max`` over the dict keeps the first key
+        attaining the maximum, so a tie goes to the earlier term."""
+        terms = {
+            "compute": self.compute_s,
+            "bandwidth": self.bandwidth_s,
+            "latency": self.latency_s,
+        }
+        return max(terms, key=terms.get)
+
+
+class Measurement(NamedTuple):
+    """One kernel's runtime, breakdown and counters."""
+
+    time_s: float
+    breakdown: TimingBreakdown
+    counters: CounterSet
+
+
+def traffic_row(traffic: MemoryTrafficBatch, i: int) -> MemoryTraffic:
+    return MemoryTraffic(
+        l1_read_bytes=float(traffic.l1_read_bytes[i]),
+        l2_read_bytes=float(traffic.l2_read_bytes[i]),
+        dram_read_bytes=float(traffic.dram_read_bytes[i]),
+        dram_write_bytes=float(traffic.dram_write_bytes[i]),
+        l1_hit_rate=float(traffic.l1_hit_rate[i]),
+        l2_hit_rate=float(traffic.l2_hit_rate[i]),
+    )
+
+
+def breakdown_row(breakdown: TimingBreakdownBatch, i: int) -> TimingBreakdown:
+    return TimingBreakdown(
+        launch_s=breakdown.launch_s,
+        compute_s=float(breakdown.compute_s[i]),
+        bandwidth_s=float(breakdown.bandwidth_s[i]),
+        latency_s=float(breakdown.latency_s[i]),
+        traffic=traffic_row(breakdown.traffic, i),
+    )
+
+
+def measurement_row(measurement: BatchMeasurement, i: int) -> Measurement:
+    return Measurement(
+        time_s=float(measurement.time_s[i]),
+        breakdown=breakdown_row(measurement.breakdown, i),
+        counters=measurement.counters.row(i),
+    )
+
+
+def workgroups(profile: ComputeProfile) -> int:
+    return max(1, math.ceil(profile.work_items / profile.workgroup_size))
+
+
+def waves(profile: ComputeProfile, config: HardwareConfig) -> float:
+    return max(1.0, profile.work_items / config.wave_size)
+
+
+def parallel_efficiency(profile: ComputeProfile, config: HardwareConfig) -> float:
+    wave_slots = config.num_cus * _LATENCY_HIDING_WAVES
+    occupancy = min(1.0, waves(profile, config) / wave_slots)
+    count = workgroups(profile)
+    rounds = math.ceil(count / config.num_cus)
+    tail = count / (rounds * config.num_cus)
+    return occupancy * tail
+
+
+def compute_time(profile: ComputeProfile, config: HardwareConfig) -> float:
+    if profile.flops == 0.0:
+        return 0.0
+    efficiency = profile.issue_efficiency * parallel_efficiency(profile, config)
+    achievable = config.peak_flops * max(efficiency, 1e-6)
+    return profile.flops / achievable
+
+
+def resolve_traffic(profile: TrafficProfile, config: HardwareConfig) -> MemoryTraffic:
+    l1_capture = capacity_factor(profile.l1_working_set, config.l1_bytes)
+    l1_hit_rate = profile.l1_reuse_fraction * l1_capture if config.l1_enabled else 0.0
+    l2_reads = profile.read_bytes * (1.0 - l1_hit_rate)
+    spilled_reuse = profile.l1_reuse_fraction - l1_hit_rate
+    l2_candidate = min(1.0, profile.l2_reuse_fraction + spilled_reuse)
+    l2_capture = capacity_factor(
+        max(profile.l2_working_set, profile.l1_working_set), config.l2_bytes
+    )
+    l2_hit_rate = l2_candidate * l2_capture if config.l2_enabled else 0.0
+    dram_reads = l2_reads * (1.0 - l2_hit_rate)
+    return MemoryTraffic(
+        l1_read_bytes=profile.read_bytes,
+        l2_read_bytes=l2_reads,
+        dram_read_bytes=dram_reads,
+        dram_write_bytes=profile.write_bytes,
+        l1_hit_rate=l1_hit_rate,
+        l2_hit_rate=l2_hit_rate,
+    )
+
+
+def _bandwidth_time(traffic: MemoryTraffic, config: HardwareConfig) -> float:
+    times = [traffic.dram_bytes / config.dram_bandwidth]
+    if config.l2_enabled:
+        times.append(
+            (traffic.l2_read_bytes + traffic.dram_write_bytes) / config.l2_bandwidth
+        )
+    if config.l1_enabled:
+        times.append(traffic.l1_read_bytes / config.l1_bandwidth)
+    return max(times)
+
+
+def _average_latency_cycles(traffic: MemoryTraffic, config: HardwareConfig) -> float:
+    if traffic.l1_read_bytes <= 0.0:
+        return 0.0
+    l1_fraction = traffic.l1_hit_rate if config.l1_enabled else 0.0
+    l2_served = (traffic.l2_read_bytes - traffic.dram_read_bytes) / max(
+        traffic.l1_read_bytes, 1e-30
+    )
+    dram_fraction = traffic.dram_read_bytes / traffic.l1_read_bytes
+    return (
+        l1_fraction * config.l1_latency_cycles
+        + max(l2_served, 0.0) * config.l2_latency_cycles
+        + dram_fraction * config.dram_latency_cycles
+    )
+
+
+def _latency_time(
+    work: WorkProfile, traffic: MemoryTraffic, config: HardwareConfig
+) -> float:
+    if traffic.l1_read_bytes <= 0.0:
+        return 0.0
+    resident_waves = min(
+        waves(work.compute, config), float(config.num_cus * config.max_waves_per_cu)
+    )
+    inflight_bytes = max(resident_waves * _INFLIGHT_BYTES_PER_WAVE, 1.0)
+    rounds = traffic.l1_read_bytes / inflight_bytes
+    return rounds * _average_latency_cycles(traffic, config) / config.gclk_hz
+
+
+def _write_stall_cycles(
+    total_s: float, traffic: MemoryTraffic, config: HardwareConfig
+) -> float:
+    if total_s <= 0.0 or traffic.dram_write_bytes <= 0.0:
+        return 0.0
+    drain_s = traffic.dram_write_bytes / config.dram_bandwidth
+    pressure = min(1.0, drain_s / total_s)
+    return drain_s * pressure * config.gclk_hz
+
+
+def time_work(work: WorkProfile, config: HardwareConfig) -> Measurement:
+    """Time one kernel on ``config``."""
+    traffic = resolve_traffic(work.traffic, config)
+    breakdown = TimingBreakdown(
+        launch_s=config.kernel_launch_s,
+        compute_s=compute_time(work.compute, config),
+        bandwidth_s=_bandwidth_time(traffic, config),
+        latency_s=_latency_time(work, traffic, config),
+        traffic=traffic,
+    )
+    total_s = breakdown.total_s
+    counters = CounterSet(
+        valu_insts=work.compute.flops
+        / (config.wave_size * config.flops_per_lane_per_clk),
+        dram_read_bytes=traffic.dram_read_bytes,
+        dram_write_bytes=traffic.dram_write_bytes,
+        l2_read_bytes=traffic.l2_read_bytes,
+        write_stall_cycles=_write_stall_cycles(total_s, traffic, config),
+        busy_cycles=total_s * config.gclk_hz,
+    )
+    return Measurement(total_s, breakdown, counters)
+
 
 # ---- kernels ----------------------------------------------------------
 
@@ -83,7 +291,7 @@ def measure(executor, schedule: KernelSchedule) -> IterationResult:
     group_times: dict[str, float] = {}
     names: set[str] = set()
     for invocation, count in schedule.merged():
-        measurement = executor.device.run(invocation.work)
+        measurement = time_work(invocation.work, executor.device.config)
         time_s += measurement.time_s * count
         launches += count
         counters = counters + measurement.counters.scaled(count)

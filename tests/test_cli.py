@@ -886,6 +886,24 @@ class TestServe:
         assert err.count("\n") == 1
         assert "max_bytes" in err
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "workers",
+            "sweep_workers",
+            "cache_max_bytes",
+            "cache_max_entries",
+            "queue_depth",
+            "max_sessions",
+        ],
+    )
+    def test_count_below_one_names_its_field(self, field, capsys):
+        flag = "--" + field.replace("_", "-")
+        assert main(["serve", "--check", "--sweep-mode", "serial", flag, "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"serve: {field} must be positive, got 0")
+
     def test_unresolvable_host_exits_2(self, capsys):
         assert main(
             ["serve", "--check", "--host", "invalid.host.invalid"]

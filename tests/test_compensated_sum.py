@@ -22,7 +22,6 @@ import pytest
 
 from repro.api import AnalysisEngine, AnalysisSpec, ProjectionSpec, SweepSpec
 from repro.api.cache import TraceCache
-from repro.hw.device import clear_measure_caches
 from repro.kernels import clear_lowering_caches
 from repro.models.plan import PLAN_CACHE
 from repro.stream.spec import StreamSpec
@@ -93,7 +92,6 @@ def fresh_answers() -> str:
     """The JSON answers of five small specs, simulated from cold."""
     PLAN_CACHE.clear()
     clear_lowering_caches()
-    clear_measure_caches()
     engine = AnalysisEngine(cache=TraceCache())
     answers = {}
     for network in ("gnmt", "ds2"):

@@ -1,9 +1,10 @@
 """Vectorized timing engine vs the scalar reference, bit for bit.
 
-``time_work_batch`` must agree with looping ``time_work`` on every row
-— totals, breakdown terms, bound tie-breaking, and counters — across
-all five Table II configurations, including degenerate kernels (zero
-FLOPs, zero traffic, zero working sets).
+``time_work_batch`` must agree with looping the oracle ``time_work``
+(``tests/reference.py``) on every row — totals, breakdown terms, bound
+tie-breaking, and counters — across all five Table II configurations,
+including degenerate kernels (zero FLOPs, zero traffic, zero working
+sets).
 """
 
 from __future__ import annotations
@@ -17,12 +18,12 @@ from repro.hw.cache import TrafficProfile
 from repro.hw.compute import ComputeProfile
 from repro.hw.config import paper_config
 from repro.hw.device import BatchMeasurement
-from repro.hw.timing import (
+from repro.hw.timing import WorkBatch, WorkProfile, time_work_batch
+from tests.reference import (
     TimingBreakdown,
-    WorkBatch,
-    WorkProfile,
+    breakdown_row,
+    measurement_row,
     time_work,
-    time_work_batch,
 )
 
 
@@ -72,7 +73,7 @@ class TestBatchTimingEquivalence:
     def test_row_materialisation_round_trips(self):
         config = paper_config(1)
         _, breakdown, _ = time_work_batch(BATCH, config)
-        rebuilt = breakdown.row(3)
+        rebuilt = breakdown_row(breakdown, 3)
         assert isinstance(rebuilt, TimingBreakdown)
         _, reference, _ = time_work(WORKS[3], config)
         assert rebuilt == reference
@@ -129,5 +130,5 @@ class TestDeviceBatch:
         assert isinstance(measurement, BatchMeasurement)
         assert len(measurement) == len(WORKS)
         for row, work in enumerate(WORKS):
-            assert measurement.row(row) == device1.run(work)
+            assert measurement_row(measurement, row) == time_work(work, device1.config)
 

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.hw.cache import TrafficProfile, capacity_factor, resolve_traffic
+from repro.hw.cache import TrafficProfile, capacity_factor, resolve_traffic_batch
 from repro.hw.config import paper_config
 from repro.util.units import KIB, MIB
+from tests.conftest import one_row
 
 
 def profile(**overrides) -> TrafficProfile:
@@ -37,38 +38,42 @@ class TestCapacityFactor:
 
 class TestResolveTraffic:
     def test_hits_reduce_downstream_traffic(self):
-        resolved = resolve_traffic(profile(), paper_config(1))
+        resolved = one_row(resolve_traffic_batch, profile(), paper_config(1))
         assert resolved.l2_read_bytes < resolved.l1_read_bytes
         assert resolved.dram_read_bytes < resolved.l2_read_bytes
 
     def test_l1_disabled_pushes_reads_to_l2(self):
-        resolved = resolve_traffic(profile(), paper_config(4))
+        resolved = one_row(resolve_traffic_batch, profile(), paper_config(4))
         assert resolved.l1_hit_rate == 0.0
         assert resolved.l2_read_bytes == pytest.approx(1e6)
 
     def test_l2_disabled_pushes_reads_to_dram(self):
-        resolved = resolve_traffic(profile(), paper_config(5))
+        resolved = one_row(resolve_traffic_batch, profile(), paper_config(5))
         assert resolved.l2_hit_rate == 0.0
         assert resolved.dram_read_bytes == pytest.approx(resolved.l2_read_bytes)
 
     def test_l2_absorbs_spilled_l1_reuse(self):
         # With L1 off, the reuse L1 would have caught lands in L2.
-        with_l1 = resolve_traffic(profile(), paper_config(1))
-        without_l1 = resolve_traffic(profile(), paper_config(4))
+        with_l1 = one_row(resolve_traffic_batch, profile(), paper_config(1))
+        without_l1 = one_row(resolve_traffic_batch, profile(), paper_config(4))
         assert without_l1.l2_hit_rate > with_l1.l2_hit_rate
 
     def test_writes_always_reach_dram(self):
         for index in (1, 4, 5):
-            resolved = resolve_traffic(profile(), paper_config(index))
+            resolved = one_row(resolve_traffic_batch, profile(), paper_config(index))
             assert resolved.dram_write_bytes == pytest.approx(1e5)
 
     def test_oversized_working_set_degrades_hits(self):
-        small = resolve_traffic(profile(l1_working_set=4 * KIB), paper_config(1))
-        large = resolve_traffic(profile(l1_working_set=64 * KIB), paper_config(1))
+        small = one_row(
+            resolve_traffic_batch, profile(l1_working_set=4 * KIB), paper_config(1)
+        )
+        large = one_row(
+            resolve_traffic_batch, profile(l1_working_set=64 * KIB), paper_config(1)
+        )
         assert large.l1_hit_rate < small.l1_hit_rate
 
     def test_dram_bytes_totals(self):
-        resolved = resolve_traffic(profile(), paper_config(1))
+        resolved = one_row(resolve_traffic_batch, profile(), paper_config(1))
         assert resolved.dram_bytes == pytest.approx(
             resolved.dram_read_bytes + resolved.dram_write_bytes
         )

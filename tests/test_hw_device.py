@@ -1,18 +1,14 @@
 """Unit tests for repro.hw.device."""
 
-from dataclasses import replace
-
 import pytest
 
 from repro.hw.cache import TrafficProfile
 from repro.hw.compute import ComputeProfile
-from repro.hw.device import (
-    GpuDevice,
-    clear_measure_caches,
-    measure_cache_info,
-)
-from repro.hw.config import VEGA_FE, paper_config
-from repro.hw.timing import WorkProfile, time_work
+from repro.hw.device import GpuDevice
+from repro.hw.config import paper_config
+from repro.hw.timing import WorkProfile
+from tests.conftest import one_row
+from tests.reference import time_work
 
 
 def work() -> WorkProfile:
@@ -24,85 +20,19 @@ def work() -> WorkProfile:
 
 class TestGpuDevice:
     def test_matches_raw_timing(self, device1):
-        measurement = device1.run(work())
+        measurement = one_row(device1.run_batch, work())
         expected, _, _ = time_work(work(), paper_config(1))
         assert measurement.time_s == pytest.approx(expected)
-
-    def test_memoised(self, device1):
-        first = device1.run(work())
-        second = device1.run(work())
-        assert first is second
 
     def test_devices_do_not_share_cache(self):
         fast = GpuDevice(paper_config(1))
         slow = GpuDevice(paper_config(2))
-        assert slow.run(work()).time_s > fast.run(work()).time_s
+        assert one_row(slow.run_batch, work()).time_s > one_row(fast.run_batch, work()).time_s
 
     def test_repr_includes_config(self, device1):
         assert "config#1" in repr(device1)
 
     def test_measurement_has_counters_and_breakdown(self, device1):
-        measurement = device1.run(work())
+        measurement = one_row(device1.run_batch, work())
         assert measurement.counters.busy_cycles > 0
         assert measurement.breakdown.total_s == pytest.approx(measurement.time_s)
-
-
-class TestSharedMeasurementStore:
-    """Devices with *equal* configs share one measurement memo.
-
-    Sweeps construct a fresh :class:`GpuDevice` per grid point; without
-    sharing, every device re-times every kernel.  Unique config names
-    keep these tests isolated from the session fixtures.
-    """
-
-    def test_equal_configs_share_measurements(self):
-        config = replace(VEGA_FE, name="shared-store-test")
-        first = GpuDevice(config)
-        second = GpuDevice(replace(VEGA_FE, name="shared-store-test"))
-        before = measure_cache_info(config)
-        assert first.run(work()) is second.run(work())
-        after = measure_cache_info(config)
-        # One compute (the first device's miss), then a shared hit.
-        assert after.misses == before.misses + 1
-        assert after.hits == before.hits + 1
-
-    def test_distinct_configs_never_share(self):
-        fast = GpuDevice(replace(VEGA_FE, name="store-iso-a"))
-        slow = GpuDevice(
-            replace(VEGA_FE, name="store-iso-b", gclk_hz=VEGA_FE.gclk_hz / 2)
-        )
-        fast.run(work())
-        info = measure_cache_info(slow.config)
-        assert info.hits == 0 and info.misses == 0
-        slow.run(work())
-        assert measure_cache_info(slow.config).misses == 1
-
-    def test_many_devices_one_timing_per_kernel(self):
-        config = replace(VEGA_FE, name="shared-store-fleet")
-        devices = [GpuDevice(replace(VEGA_FE, name="shared-store-fleet"))
-                   for _ in range(8)]
-        results = {id(device.run(work())) for device in devices}
-        assert len(results) == 1
-        info = measure_cache_info(config)
-        assert info.misses == 1
-        assert info.hits == len(devices) - 1
-
-    def test_clear_measure_caches_resets_counters(self):
-        config = replace(VEGA_FE, name="shared-store-clear")
-        GpuDevice(config).run(work())
-        assert measure_cache_info(config).misses == 1
-        clear_measure_caches()
-        assert measure_cache_info(config).misses == 0
-
-    def test_clear_flushes_stores_of_live_devices_in_place(self):
-        """Clearing must reach devices created *before* the clear: the
-        flush happens in the store they hold, so their next run is a
-        real miss and the shared counters keep describing their store."""
-        config = replace(VEGA_FE, name="shared-store-live")
-        device = GpuDevice(config)
-        device.run(work())
-        clear_measure_caches()
-        assert measure_cache_info(config).currsize == 0
-        device.run(work())
-        info = measure_cache_info(config)
-        assert info.misses == 1 and info.currsize == 1

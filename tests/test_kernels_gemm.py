@@ -5,6 +5,7 @@ import pytest
 from repro.errors import KernelSelectionError
 from repro.hw.config import paper_config
 from repro.kernels.gemm import GEMM_VARIANTS, build_gemm, gemm, gemm_variants
+from tests.conftest import one_row
 
 
 class TestBuildGemm:
@@ -48,9 +49,9 @@ class TestSelection:
     def test_selects_fastest_variant(self, device1):
         config = paper_config(1)
         chosen = gemm(4096, 4096, 1024, config)
-        chosen_time = device1.run(chosen.work).time_s
+        chosen_time = one_row(device1.run_batch, chosen.work).time_s
         for candidate in gemm_variants(4096, 4096, 1024):
-            assert chosen_time <= device1.run(candidate.work).time_s + 1e-12
+            assert chosen_time <= one_row(device1.run_batch, candidate.work).time_s + 1e-12
 
     def test_large_problems_prefer_large_tiles(self):
         config = paper_config(1)

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import LoweringError
 from repro.hw.config import paper_config
 from repro.models.layers.attention import AttentionLayer
+from tests.conftest import one_row
 
 CONFIG = paper_config(1)
 
@@ -33,7 +34,7 @@ class TestAttention:
         def total(src, tgt):
             layer = self.layer(src)
             return sum(
-                device1.run(inv.work).time_s * count
+                one_row(device1.run_batch, inv.work).time_s * count
                 for inv, count in layer.forward(64, tgt, CONFIG)
             )
 

@@ -4,6 +4,7 @@
 from repro.hw.config import paper_config
 from repro.models.cnn import build_cnn
 from repro.models.spec import IterationInputs
+from tests.conftest import one_row
 
 CONFIG = paper_config(1)
 
@@ -17,7 +18,7 @@ class TestCnn:
 
         def iteration_time(seq_len):
             schedule = model.lower_iteration(IterationInputs(64, seq_len), CONFIG)
-            return sum(device1.run(inv.work).time_s * c for inv, c in schedule)
+            return sum(one_row(device1.run_batch, inv.work).time_s * c for inv, c in schedule)
 
         assert iteration_time(10) == iteration_time(500)
 

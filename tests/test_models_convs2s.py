@@ -3,6 +3,7 @@
 from repro.hw.config import paper_config
 from repro.models.convs2s import build_convs2s
 from repro.models.spec import IterationInputs
+from tests.conftest import one_row
 
 CONFIG = paper_config(1)
 
@@ -25,7 +26,7 @@ class TestConvS2S:
 
         def iteration_time(steps):
             schedule = model.lower_iteration(IterationInputs(16, steps), CONFIG)
-            return sum(device1.run(inv.work).time_s * c for inv, c in schedule)
+            return sum(one_row(device1.run_batch, inv.work).time_s * c for inv, c in schedule)
 
         ratio = iteration_time(200) / iteration_time(100)
         assert 1.6 < ratio < 2.4

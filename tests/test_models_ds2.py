@@ -6,6 +6,7 @@ from repro.models.ds2 import build_ds2
 from repro.models.layers.conv2d import Conv2dLayer
 from repro.models.layers.recurrent import GRULayer
 from repro.models.spec import IterationInputs
+from tests.conftest import one_row
 
 CONFIG = paper_config(1)
 
@@ -50,7 +51,7 @@ class TestLowering:
 
         def iteration_time(seq_len):
             schedule = model.lower_iteration(IterationInputs(64, seq_len), CONFIG)
-            return sum(device1.run(inv.work).time_s * c for inv, c in schedule)
+            return sum(one_row(device1.run_batch, inv.work).time_s * c for inv, c in schedule)
 
         assert iteration_time(800) > 3 * iteration_time(200)
 

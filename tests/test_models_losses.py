@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.hw.config import paper_config
 from repro.models.layers.losses import CTCLossLayer, SoftmaxCrossEntropyLayer
+from tests.conftest import one_row
 
 CONFIG = paper_config(1)
 
@@ -17,7 +18,7 @@ class TestSoftmaxCrossEntropy:
 
         def total(layer):
             return sum(
-                device1.run(inv.work).time_s * count
+                one_row(device1.run_batch, inv.work).time_s * count
                 for inv, count in layer.forward(64, 20, CONFIG)
             )
 

@@ -3,6 +3,7 @@
 
 from repro.hw.config import paper_config
 from repro.models.layers.recurrent import GRULayer, LSTMLayer
+from tests.conftest import one_row
 
 CONFIG = paper_config(1)
 
@@ -112,7 +113,7 @@ class TestBackward:
 
         def total(stream):
             return sum(
-                device1.run(inv.work).time_s * count for inv, count in stream
+                one_row(device1.run_batch, inv.work).time_s * count for inv, count in stream
             )
 
         fwd = total(layer.forward(64, 50, CONFIG))

@@ -7,6 +7,7 @@ from repro.hw.config import paper_config
 from repro.models.layers.transformer import TransformerEncoderLayer
 from repro.models.spec import IterationInputs
 from repro.models.transformer import build_transformer
+from tests.conftest import one_row
 
 CONFIG = paper_config(1)
 
@@ -52,7 +53,7 @@ class TestTransformerModel:
 
         def iteration_time(steps):
             schedule = model.lower_iteration(IterationInputs(16, steps), CONFIG)
-            return sum(device1.run(inv.work).time_s * c for inv, c in schedule)
+            return sum(one_row(device1.run_batch, inv.work).time_s * c for inv, c in schedule)
 
         assert iteration_time(512) > 2.0 * iteration_time(256)
 

@@ -25,7 +25,7 @@ from repro.api.registry import (
     default_dataset,
 )
 from repro.hw.config import paper_config
-from repro.hw.device import GpuDevice, clear_measure_caches
+from repro.hw.device import GpuDevice
 from repro.kernels import clear_lowering_caches
 from repro.kernels.autotune import Autotuner
 from repro.kernels.gemm import (
@@ -34,7 +34,6 @@ from repro.kernels.gemm import (
     build_gemm,
     candidate_times,
 )
-from repro.hw.timing import time_work
 from repro.models.cnn import build_cnn
 from repro.models.convs2s import build_convs2s
 from repro.models.ds2 import build_ds2
@@ -58,6 +57,7 @@ from tests.reference import (
     assert_traces_bit_identical,
     run_pass_reference,
     select_reference,
+    time_work,
 )
 
 MODEL_BUILDERS = {
@@ -349,7 +349,6 @@ class TestPlanResolution:
 def clear_process_caches():
     PLAN_CACHE.clear()
     clear_lowering_caches()
-    clear_measure_caches()
 
 
 class CountingGnmt(GnmtModel):

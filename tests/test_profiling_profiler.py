@@ -2,7 +2,11 @@
 
 import pytest
 
+from repro.hw.config import paper_config
+from repro.hw.device import GpuDevice
 from repro.models.ds2 import build_ds2
+from repro.models.gnmt import build_gnmt
+from repro.models.plan import PLAN_CACHE
 from repro.models.spec import IterationInputs
 from repro.profiling.profiler import Profiler
 from repro.train.iteration import IterationExecutor
@@ -16,7 +20,29 @@ class TestProfiler:
         inputs = IterationInputs(64, 300)
         profiled = profiler.profile_iteration(inputs)
         executed = executor.run(inputs)
-        assert profiled.time_s == pytest.approx(executed.time_s)
+        assert profiled.time_s == executed.time_s
+
+    @pytest.mark.parametrize("config_index", (1, 4))
+    @pytest.mark.parametrize(
+        ("build", "inputs"),
+        [(build_ds2, IterationInputs(64, 300)), (build_gnmt, IterationInputs(64, 37, 41))],
+        ids=["ds2", "gnmt"],
+    )
+    def test_profile_is_the_executors_plan(self, build, inputs, config_index):
+        """A profile equals the executor's result for its shape, and
+        reads the plan the executor compiled from the plan cache."""
+        model = build()
+        device = GpuDevice(paper_config(config_index))
+        executed = IterationExecutor(model, device, host_overhead_s=0.0).run(inputs)
+        before = PLAN_CACHE.stats()
+        profiled = Profiler(model, device).profile_iteration(inputs)
+        after = PLAN_CACHE.stats()
+        assert after["hits"] - before["hits"] == 1
+        assert after["misses"] == before["misses"]
+        assert profiled.time_s == executed.time_s
+        assert profiled.counters == executed.counters
+        assert profiled.profile.total_launches == executed.launches
+        assert profiled.profile.unique_kernel_names() == executed.kernel_names
 
     def test_profile_covers_all_launches(self, device1):
         profiler = Profiler(build_ds2(), device1)

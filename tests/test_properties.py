@@ -9,12 +9,12 @@ from repro.core.projection import project_total
 from repro.core.selection import select_from_bin
 from repro.core.seqpoint import SeqPointSelector
 from repro.core.sl_stats import SlStatistics
-from repro.hw.cache import TrafficProfile, capacity_factor, resolve_traffic
-from repro.hw.compute import ComputeProfile, parallel_efficiency
+from repro.hw.cache import TrafficProfile, capacity_factor, resolve_traffic_batch
+from repro.hw.compute import ComputeProfile, parallel_efficiency_batch
 from repro.hw.config import paper_config
-from repro.hw.timing import WorkProfile, time_work
+from repro.hw.timing import WorkProfile, time_work_batch
 from repro.util.stats import geomean, weighted_average, weighted_sum
-from tests.conftest import make_trace
+from tests.conftest import make_trace, one_row
 
 # ---- strategy helpers -------------------------------------------------
 
@@ -206,7 +206,7 @@ def test_traffic_conservation(read_bytes, write_bytes, reuse, working_set):
         l2_working_set=working_set * 4,
     )
     for index in (1, 4, 5):
-        resolved = resolve_traffic(profile, paper_config(index))
+        resolved = one_row(resolve_traffic_batch, profile, paper_config(index))
         # Traffic can only shrink down the hierarchy.
         assert resolved.dram_read_bytes <= resolved.l2_read_bytes + 1e-6
         assert resolved.l2_read_bytes <= resolved.l1_read_bytes + 1e-6
@@ -223,8 +223,8 @@ def test_kernel_time_positive_and_latency_monotone_in_clock(flops, work_items):
         compute=ComputeProfile(flops=flops, work_items=work_items),
         traffic=TrafficProfile(read_bytes=flops / 10, write_bytes=flops / 100),
     )
-    fast, _, _ = time_work(work, paper_config(1))
-    slow, _, _ = time_work(work, paper_config(2))
+    fast, _, _ = one_row(time_work_batch, work, paper_config(1))
+    slow, _, _ = one_row(time_work_batch, work, paper_config(2))
     assert fast > 0
     assert slow >= fast * 0.999  # lower clock can never be faster
 
@@ -234,5 +234,5 @@ def test_kernel_time_positive_and_latency_monotone_in_clock(flops, work_items):
 def test_parallel_efficiency_bounded(work_items):
     profile = ComputeProfile(flops=1.0, work_items=work_items)
     for index in (1, 3):
-        eff = parallel_efficiency(profile, paper_config(index))
+        eff = one_row(parallel_efficiency_batch, profile, paper_config(index))
         assert 0.0 < eff <= 1.0
