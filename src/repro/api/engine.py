@@ -543,19 +543,6 @@ class AnalysisEngine:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
             return list(pool.map(lambda s: self.run(s, projection), specs))
 
-    def plan_cache_stats(self) -> dict[str, int]:
-        """Hit/miss/entry counters of the process-wide plan cache.
-
-        Every runner this engine builds compiles kernel schedules
-        through :data:`repro.models.plan.PLAN_CACHE`, so identical
-        shapes (across configs' shared scenarios, across seeds, and
-        across sweep points within one process) are lowered exactly
-        once.  Exposed for observability and cache-behaviour tests.
-        """
-        from repro.models.plan import PLAN_CACHE
-
-        return PLAN_CACHE.stats()
-
     def run_streaming(self, stream: "Any") -> StreamingAnalysisResult:
         """Execute a :class:`~repro.stream.spec.StreamSpec` online.
 

@@ -8,10 +8,10 @@ configuration in one vectorized call and returns a
 Measurements are deterministic — the model is analytical — so a device
 can be shared freely.
 
-Nothing is memoised here: callers time each plan once and keep the
-result (the iteration executor memoises per shape), and the batches
-they hand over are mostly fresh concatenations that could never hit
-again.
+Nothing is memoised here: each plan is timed once per process and its
+result kept beside it in :data:`~repro.models.plan.PLAN_CACHE` (the
+iteration executor's result memo), and the batches callers hand over
+are mostly fresh concatenations that could never hit again.
 """
 
 from __future__ import annotations

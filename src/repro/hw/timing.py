@@ -136,25 +136,6 @@ class WorkBatch:
             }
         )
 
-    def row(self, i: int) -> WorkProfile:
-        """Materialise one row as a scalar :class:`WorkProfile`."""
-        return WorkProfile(
-            compute=ComputeProfile(
-                flops=float(self.flops[i]),
-                work_items=int(self.work_items[i]),
-                issue_efficiency=float(self.issue_efficiency[i]),
-                workgroup_size=int(self.workgroup_size[i]),
-            ),
-            traffic=TrafficProfile(
-                read_bytes=float(self.read_bytes[i]),
-                write_bytes=float(self.write_bytes[i]),
-                l1_reuse_fraction=float(self.l1_reuse_fraction[i]),
-                l1_working_set=float(self.l1_working_set[i]),
-                l2_reuse_fraction=float(self.l2_reuse_fraction[i]),
-                l2_working_set=float(self.l2_working_set[i]),
-            ),
-        )
-
 
 #: The bound terms, in tie-break order: on a tie the earlier term binds.
 _BOUND_LABELS = ("compute", "bandwidth", "latency")

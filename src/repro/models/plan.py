@@ -30,7 +30,8 @@ tests/test_plan_equivalence.py).
 config)``.  Lowering is deterministic in exactly those inputs (the
 paper's Key Observation 4 as a structural property), so every executor,
 simulator, and sweep worker in the process shares one compiled plan per
-unique shape instead of re-lowering it.
+unique shape instead of re-lowering it, and one timed result
+(:meth:`PlanCache.results`) instead of re-timing it.
 
 The hardware config enters lowering only through each GEMM's
 macro-tile choice (:func:`~repro.kernels.gemm.gemm`): kernel list, merge
@@ -419,11 +420,17 @@ class PlanCache:
     whose caller supplies a structural fingerprint fall through to the
     on-disk tier before compiling — that is what lets a pool of spawn
     workers share lowerings machine-wide.
+
+    Beside the plans it keeps their timed results (:meth:`results`) and
+    the kernel-name sets those share (:meth:`intern_names`); results,
+    like plans, are read-only shared values.
     """
 
     def __init__(self) -> None:
         self._plans: dict[tuple, SchedulePlan] = {}
         self._skeletons: dict[tuple, SchedulePlan] = {}
+        self._results: dict[tuple, dict] = {}
+        self._name_sets: dict[frozenset[str], frozenset[str]] = {}
         self._lock = Lock()
         self._hits = 0
         self._misses = 0
@@ -493,6 +500,28 @@ class PlanCache:
         with self._lock:
             return self._skeletons.get(key[:-1])
 
+    def results(self, key: tuple) -> dict:
+        """The shape -> timed result memo of one executor key.
+
+        ``key`` is (model plan key, pass kind, hardware config, host
+        overhead): a result depends on nothing else, since the device
+        holds only its config and noise is applied after timing.  A hit
+        takes no lock (a dict read is atomic), since every executor call
+        makes one.  The caller fills the dict without the lock: two
+        threads missing one shape both time it, and as their results are
+        bit-identical, whichever write lands last is correct.
+        """
+        memo = self._results.get(key)
+        if memo is None:
+            with self._lock:
+                memo = self._results.setdefault(key, {})
+        return memo
+
+    def intern_names(self, names: frozenset[str]) -> frozenset[str]:
+        """The one shared copy of a kernel-name set."""
+        with self._lock:
+            return self._name_sets.setdefault(names, names)
+
     def stats(self) -> dict[str, int]:
         with self._lock:
             return {
@@ -502,10 +531,12 @@ class PlanCache:
             }
 
     def clear(self) -> None:
-        """Drop all plans and counters (for cold benchmarking)."""
+        """Drop all plans, results and counters (for cold benchmarking)."""
         with self._lock:
             self._plans.clear()
             self._skeletons.clear()
+            self._results.clear()
+            self._name_sets.clear()
             self._hits = 0
             self._misses = 0
 

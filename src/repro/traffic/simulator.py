@@ -18,10 +18,12 @@ measured forward latency.  The result is
   :class:`~repro.util.histogram.LatencyHistogram` machinery.
 
 A serve groups batches by unique ``(len(batch), seq_len, tgt_len)``
-shape, times each unique shape exactly once (all of them through one
-:meth:`~repro.train.iteration.IterationExecutor.run_unique` call),
-scatters times and profile ids back by group index, and replays the
-device FIFO as a vectorized prefix recurrence (:func:`_fifo_prefix`).
+shape, takes every unique shape's result from one
+:meth:`~repro.train.iteration.IterationExecutor.run_unique` call (which
+times a shape once per process, so a later serve on the same model and
+config times nothing), scatters times and profile ids back by group
+index, and replays the device FIFO as a vectorized prefix recurrence
+(:func:`_fifo_prefix`).
 The per-batch walk it replaced (one forward pass and one FIFO step per
 batch) is kept as test code (``tests/reference.py``);
 tests/test_properties_traffic.py checks that both give bit-identical
@@ -184,13 +186,6 @@ class TrafficSimulator:
         self.policy = policy
         self.device = device
         self.executor = IterationExecutor(model, device, host_overhead_s)
-        #: Per unique shape, the reusable inputs object and the derived
-        #: profile with its pooling key — shapes repeat across serve
-        #: calls just as they repeat across batches.
-        self._inputs_of: dict[tuple[int, int, int], IterationInputs] = {}
-        self._profile_of: dict[
-            tuple[int, int, int], tuple[tuple, IterationProfile]
-        ] = {}
 
     def measure_seq_len(self, seq_len: int, tgt_len: int | None = None) -> float:
         """Forward latency of one full batch at ``seq_len``."""
@@ -209,15 +204,15 @@ class TrafficSimulator:
 
         SeqPoint's Key Observation 4 applied to serving — formed
         batches collapse onto few unique ``(batch, seq_len, tgt_len)``
-        shapes, so each shape is timed exactly once (all missing shapes
+        shapes, so each shape is timed at most once (all missing shapes
         through one
         :meth:`~repro.train.iteration.IterationExecutor.run_unique`) and
         per-batch columns are gathered back by group index from the
         batcher's :class:`~repro.traffic.batcher.BatchColumns`.  Unique
-        shapes are processed in first-appearance order, so the profile
-        pool is populated in batch order; the FIFO/latency columns come
-        from :func:`_fifo_prefix`.  No batches give an empty frame and
-        a zero makespan.
+        shapes are processed in first-appearance order, so the pool of
+        the results' shared profiles is populated in batch order; the
+        FIFO/latency columns come from :func:`_fifo_prefix`.  No batches
+        give an empty frame and a zero makespan.
         """
         count = len(batches)
         columns = batches.columns
@@ -242,20 +237,16 @@ class TrafficSimulator:
         rank[order] = np.arange(order.size, dtype=np.int64)
         inverse = rank[inverse]
         first_index = first_index[order]
-        shape_keys = [
-            (int(sizes[i]), int(seq_len[i]), int(tgt_len[i]))
-            for i in first_index.tolist()
+        inputs_seq = [
+            IterationInputs(
+                batch=batch, seq_len=seq, tgt_len=None if tgt == NO_TGT else tgt
+            )
+            for batch, seq, tgt in zip(
+                sizes[first_index].tolist(),
+                seq_len[first_index].tolist(),
+                tgt_len[first_index].tolist(),
+            )
         ]
-        inputs_seq = []
-        for key in shape_keys:
-            inputs = self._inputs_of.get(key)
-            if inputs is None:
-                inputs = self._inputs_of[key] = IterationInputs(
-                    batch=key[0],
-                    seq_len=key[1],
-                    tgt_len=None if key[2] == NO_TGT else key[2],
-                )
-            inputs_seq.append(inputs)
         results = self.executor.run_unique(inputs_seq, "forward")
         unique_times = np.fromiter(
             (result.time_s for result in results), np.float64, len(results)
@@ -267,19 +258,9 @@ class TrafficSimulator:
         pool: dict[tuple, int] = {}
         profiles: list[IterationProfile] = []
         unique_pid = np.empty(len(results), dtype=np.int64)
-        for position, (key, result) in enumerate(zip(shape_keys, results)):
-            cached = self._profile_of.get(key)
-            if cached is None:
-                profile = IterationProfile(
-                    launches=result.launches,
-                    counters=result.counters,
-                    group_times=dict(result.group_times),
-                    kernel_names=result.kernel_names,
-                )
-                cached = self._profile_of[key] = (
-                    profile.dedup_key(), profile,
-                )
-            dedup_key, profile = cached
+        for position, result in enumerate(results):
+            profile = result.profile
+            dedup_key = profile.dedup_key()
             pid = pool.get(dedup_key)
             if pid is None:
                 pid = pool[dedup_key] = len(profiles)

@@ -169,6 +169,13 @@ class TraceFrame:
                     f"expected {n}"
                 )
         if n:
+            finite = np.isfinite(self.time_s)
+            if not finite.all():
+                bad = int(np.argmin(finite))
+                raise TraceError(
+                    f"iteration {int(self.index[bad])}: non-finite time "
+                    f"{float(self.time_s[bad])!r}"
+                )
             if self.time_s.min() <= 0.0:
                 bad = int(self.index[int(np.argmin(self.time_s))])
                 raise TraceError(f"iteration {bad}: non-positive time")

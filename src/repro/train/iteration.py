@@ -1,19 +1,19 @@
 """Iteration execution: lower, time, and account one training iteration.
 
-The executor memoises by iteration inputs: per Key Observation 4, two
-iterations with the same padded lengths perform identical work, so a
-whole epoch only pays lowering cost once per unique (seq_len, tgt_len)
-pair — that is what makes full-epoch simulation cheap enough to treat
-as ground truth.
-
-Each shape's columnar :class:`~repro.models.plan.SchedulePlan` comes
-through the process-wide :data:`~repro.models.plan.PLAN_CACHE` (so
-equal shapes are lowered once per process, not once per executor, and
-a shape already lowered on another hardware config is resolved from
-its skeleton instead of lowered again).  Many shapes' plans are timed
-with a few vectorized :meth:`~repro.hw.device.GpuDevice.run_batch`
-calls (:meth:`IterationExecutor.run_unique`), and each call's
-measurements are folded into all its plans' results in one pass
+Per Key Observation 4, two iterations with the same padded lengths
+perform identical work, so a shape is lowered and timed once per
+process — that is what makes full-epoch simulation cheap enough to
+treat as ground truth.  The process-wide
+:data:`~repro.models.plan.PLAN_CACHE` holds each shape's columnar
+:class:`~repro.models.plan.SchedulePlan` (a shape already lowered on
+another hardware config is resolved from its skeleton) and, beside it,
+the shape's timed :class:`IterationResult`, shared by every executor
+over the same model, config and host overhead.  Results and their
+profiles are read-only shared values, like plans.  Many shapes' plans
+are timed with a few vectorized
+:meth:`~repro.hw.device.GpuDevice.run_batch` calls
+(:meth:`IterationExecutor.run_unique`), and each call's measurements
+are folded into all its plans' results in one pass
 (:meth:`IterationExecutor._fold`).
 
 Every fold is a strict left-to-right accumulation, so each
@@ -30,6 +30,7 @@ from __future__ import annotations
 import dataclasses
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +45,7 @@ from repro.models.plan import (
 )
 from repro.models.schedule import KernelSchedule
 from repro.models.spec import IterationInputs, Model
+from repro.train.frame import IterationProfile
 
 __all__ = ["IterationExecutor", "IterationResult"]
 
@@ -88,7 +90,11 @@ def _segment_folds(
 
 @dataclass(frozen=True)
 class IterationResult:
-    """Everything the trace records about one executed iteration."""
+    """Everything the trace records about one executed iteration.
+
+    Shared process-wide (:meth:`~repro.models.plan.PlanCache.results`),
+    so read-only, dicts included.
+    """
 
     time_s: float
     launches: int
@@ -99,6 +105,17 @@ class IterationResult:
     kernel_names: frozenset[str]
     #: GEMM problem shapes, for autotune accounting.
     gemm_shapes: tuple[tuple[int, int, int], ...]
+
+    @cached_property
+    def profile(self) -> IterationProfile:
+        """The shape's frame profile, built once and shared by every
+        frame of the shape; it holds this result's dict and name set."""
+        return IterationProfile(
+            launches=self.launches,
+            counters=self.counters,
+            group_times=self.group_times,
+            kernel_names=self.kernel_names,
+        )
 
 
 class IterationExecutor:
@@ -115,13 +132,21 @@ class IterationExecutor:
         self.model = model
         self.device = device
         self.host_overhead_s = host_overhead_s
-        #: Pass kind ("train" or "forward") -> shape -> result.
-        self._results: dict[
-            str, dict[tuple[int, int, int | None], IterationResult]
-        ] = {"train": {}, "forward": {}}
 
     def _key(self, inputs: IterationInputs) -> tuple[int, int, int | None]:
         return (inputs.batch, inputs.seq_len, inputs.tgt_len)
+
+    @cached_property
+    def _memo_keys(self) -> dict[str, tuple]:
+        """Pass kind -> this executor's key into the result memo."""
+        model_key = self.model.plan_key()
+        config, overhead = self.device.config, self.host_overhead_s
+        return {kind: (model_key, kind, config, overhead) for kind in ("train", "forward")}
+
+    def _memo(self, kind: str) -> dict[tuple[int, int, int | None], IterationResult]:
+        """Shape -> result, looked up on each call so that a live
+        executor honours ``PLAN_CACHE.clear()``."""
+        return PLAN_CACHE.results(self._memo_keys[kind])
 
     def _lower(self, inputs: IterationInputs, kind: str) -> KernelSchedule:
         lower = (
@@ -275,7 +300,7 @@ class IterationExecutor:
                     group_times=dict(
                         zip(plan.groups, group_times[base : base + len(plan.groups)])
                     ),
-                    kernel_names=frozenset(plan.names),
+                    kernel_names=PLAN_CACHE.intern_names(frozenset(plan.names)),
                     gemm_shapes=plan.gemm_shapes,
                 )
             )
@@ -288,12 +313,12 @@ class IterationExecutor:
 
         ``kind`` is ``"train"`` (:meth:`run`) or ``"forward"``
         (:meth:`run_forward`).  The entry point for whole epochs,
-        evaluation passes and serving: every shape missing from this
-        executor's memo (first appearance order) gets its plan from
-        :meth:`plans_for` and is timed by :meth:`_time_plans`.  Repeats
-        map back to their shape's one result.
+        evaluation passes and serving: every shape missing from the
+        process-wide result memo (first appearance order) gets its plan
+        from :meth:`plans_for` and is timed by :meth:`_time_plans`.
+        Repeats map back to their shape's one result.
         """
-        results = self._results[kind]
+        results = self._memo(kind)
         missing: dict[tuple[int, int, int | None], IterationInputs] = {}
         for inputs in inputs_seq:
             key = self._key(inputs)
@@ -306,14 +331,14 @@ class IterationExecutor:
 
     def run(self, inputs: IterationInputs) -> IterationResult:
         """One full training iteration (forward + backward + update)."""
-        result = self._results["train"].get(self._key(inputs))
+        result = self._memo("train").get(self._key(inputs))
         if result is None:
             (result,) = self.run_unique((inputs,), "train")
         return result
 
     def run_forward(self, inputs: IterationInputs) -> IterationResult:
         """One forward-only (evaluation) pass."""
-        result = self._results["forward"].get(self._key(inputs))
+        result = self._memo("forward").get(self._key(inputs))
         if result is None:
             (result,) = self.run_unique((inputs,), "forward")
         return result

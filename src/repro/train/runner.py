@@ -35,12 +35,7 @@ from repro.errors import ConfigurationError
 from repro.hw.device import GpuDevice
 from repro.kernels.autotune import Autotuner
 from repro.models.spec import IterationInputs, Model
-from repro.train.frame import (
-    NO_TGT,
-    IterationProfile,
-    TraceFrame,
-    dedupe_shapes,
-)
+from repro.train.frame import NO_TGT, TraceFrame, dedupe_shapes
 from repro.train.iteration import DEFAULT_HOST_OVERHEAD_S, IterationExecutor
 from repro.train.trace import TrainingTrace
 from repro.util.rng import derive_seed, make_rng
@@ -66,7 +61,8 @@ def memoized_shape_walk(
     ``on_result`` (optional) observes each unique shape's inputs and
     result in epoch order — the autotune-charging hook.  Returns
     ``(time_s, profile_id, profiles)`` with the per-shape runtimes
-    already broadcast to every iteration.
+    already broadcast to every iteration; the pool holds each result's
+    own shared :attr:`~repro.train.iteration.IterationResult.profile`.
     """
     first_iterations, profile_id = dedupe_shapes(seq_len, tgt_len)
     shapes = [
@@ -85,21 +81,11 @@ def memoized_shape_walk(
     base_time = np.fromiter(
         (result.time_s for result in results), np.float64, len(results)
     )
-    profiles: list[IterationProfile] = []
-    for inputs, result in zip(shapes, results):
-        if on_result is not None:
+    if on_result is not None:
+        for inputs, result in zip(shapes, results):
             on_result(inputs, result)
-        profiles.append(
-            IterationProfile(
-                launches=result.launches,
-                counters=result.counters,
-                # Copy: the executor memoises results, and the profile
-                # pool must not alias its cache.
-                group_times=dict(result.group_times),
-                kernel_names=result.kernel_names,
-            )
-        )
-    return base_time[profile_id], profile_id, tuple(profiles)
+    profiles = tuple(result.profile for result in results)
+    return base_time[profile_id], profile_id, profiles
 
 
 class TrainingRunSimulator:

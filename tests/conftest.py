@@ -171,12 +171,11 @@ def dump_v1(trace: TrainingTrace, path) -> None:
 def with_time(frame: TraceFrame, row: int, time_s: float) -> TraceFrame:
     """``frame`` with one iteration's runtime replaced, profiles shared.
 
-    Builds the frame directly, so it may hold a runtime that records
-    and the group-by reject.
+    Builds a valid copy of the frame, then writes ``time_s`` into its
+    time column in place, past the constructor's checks, so it may hold
+    a runtime that the constructor, records and the group-by reject.
     """
-    times = frame.time_s.copy()
-    times[row] = time_s
-    return TraceFrame(
+    edited = TraceFrame(
         model_name=frame.model_name,
         dataset_name=frame.dataset_name,
         config_name=frame.config_name,
@@ -185,10 +184,25 @@ def with_time(frame: TraceFrame, row: int, time_s: float) -> TraceFrame:
         epoch=frame.epoch,
         seq_len=frame.seq_len,
         tgt_len=frame.tgt_len,
-        time_s=times,
+        time_s=frame.time_s.copy(),
         profile_id=frame.profile_id,
         profiles=frame.profiles,
     )
+    edited.time_s[row] = time_s
+    return edited
+
+
+class CountingDevice(GpuDevice):
+    """A device that counts its ``run_batch`` calls, the only way the
+    library times kernels."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.batches = 0
+
+    def run_batch(self, work):
+        self.batches += 1
+        return super().run_batch(work)
 
 
 @pytest.fixture

@@ -27,7 +27,12 @@ from repro.hw.compute import _LATENCY_HIDING_WAVES, ComputeProfile
 from repro.hw.config import HardwareConfig
 from repro.hw.counters import CounterSet
 from repro.hw.device import BatchMeasurement
-from repro.hw.timing import _INFLIGHT_BYTES_PER_WAVE, TimingBreakdownBatch, WorkProfile
+from repro.hw.timing import (
+    _INFLIGHT_BYTES_PER_WAVE,
+    TimingBreakdownBatch,
+    WorkBatch,
+    WorkProfile,
+)
 from repro.kernels.autotune import _TRIALS_PER_VARIANT, _candidate_indices
 from repro.kernels.gemm import GEMM_VARIANTS, GemmVariant, build_gemm
 from repro.models.schedule import KernelSchedule
@@ -90,6 +95,25 @@ class Measurement(NamedTuple):
     time_s: float
     breakdown: TimingBreakdown
     counters: CounterSet
+
+
+def work_row(batch: WorkBatch, i: int) -> WorkProfile:
+    return WorkProfile(
+        compute=ComputeProfile(
+            flops=float(batch.flops[i]),
+            work_items=int(batch.work_items[i]),
+            issue_efficiency=float(batch.issue_efficiency[i]),
+            workgroup_size=int(batch.workgroup_size[i]),
+        ),
+        traffic=TrafficProfile(
+            read_bytes=float(batch.read_bytes[i]),
+            write_bytes=float(batch.write_bytes[i]),
+            l1_reuse_fraction=float(batch.l1_reuse_fraction[i]),
+            l1_working_set=float(batch.l1_working_set[i]),
+            l2_reuse_fraction=float(batch.l2_reuse_fraction[i]),
+            l2_working_set=float(batch.l2_working_set[i]),
+        ),
+    )
 
 
 def traffic_row(traffic: MemoryTrafficBatch, i: int) -> MemoryTraffic:

@@ -24,6 +24,7 @@ from tests.reference import (
     breakdown_row,
     measurement_row,
     time_work,
+    work_row,
 )
 
 
@@ -77,7 +78,7 @@ class TestBatchTimingEquivalence:
         assert isinstance(rebuilt, TimingBreakdown)
         _, reference, _ = time_work(WORKS[3], config)
         assert rebuilt == reference
-        assert BATCH.row(3) == WORKS[3]
+        assert work_row(BATCH, 3) == WORKS[3]
 
     def test_launch_s_matches_config(self):
         config = paper_config(2)

@@ -8,6 +8,7 @@ from repro.kernels.elementwise import elementwise
 from repro.kernels.gemm import gemm
 from repro.models.plan import PLAN_CACHE, PlanCache, compile_plan
 from repro.models.schedule import KernelSchedule
+from tests.reference import work_row
 
 
 def sample_schedule(config=None) -> KernelSchedule:
@@ -30,7 +31,7 @@ class TestCompilePlan:
             assert plan.counts[row] == count
             assert plan.groups[plan.group_id[row]] == invocation.group
             assert plan.names[plan.name_id[row]] == invocation.name
-            assert plan.work.row(row) == invocation.work
+            assert work_row(plan.work, row) == invocation.work
 
     def test_string_tables_intern_first_appearance_order(self):
         plan = compile_plan(sample_schedule())

@@ -46,9 +46,10 @@ from repro.models.plan import (
 )
 from repro.models.spec import IterationInputs
 from repro.models.transformer import build_transformer
-from repro.train.inference import InferenceRunSimulator
-from repro.train.iteration import IterationExecutor
+from repro.train.inference import DEFAULT_SERVING_OVERHEAD_S, InferenceRunSimulator
+from repro.train.iteration import DEFAULT_HOST_OVERHEAD_S, IterationExecutor
 from repro.train.runner import TrainingRunSimulator
+from tests.conftest import CountingDevice
 from tests.reference import (
     ReferenceAutotuner,
     ReferenceExecutor,
@@ -233,23 +234,112 @@ class TestGemmRaceEquivalence:
 class TestPlanCacheSharing:
     def test_executors_share_lowering_for_one_model(self):
         """Two executors over one model instance (the engine's pattern:
-        ``resolve`` memoises one model per scenario) compile each shape
-        once process-wide."""
+        ``resolve`` memoises one model per scenario) compile and time
+        each shape once process-wide: the second executor looks up no
+        plan, times nothing and returns the first one's result."""
         model = build_gnmt()
-        device = GpuDevice(paper_config(1))
+        device = CountingDevice(paper_config(1))
         inputs = IterationInputs(batch=8, seq_len=333, tgt_len=331)
         first = IterationExecutor(model, device)
         second = IterationExecutor(model, device)
         before = PLAN_CACHE.stats()
         result_a = first.run(inputs)
         mid = PLAN_CACHE.stats()
+        timed = device.batches
         result_b = second.run(inputs)
-        after = PLAN_CACHE.stats()
         assert mid["misses"] == before["misses"] + 1
-        # The second executor re-uses the compiled plan: a hit, no miss.
-        assert after["misses"] == mid["misses"]
-        assert after["hits"] == mid["hits"] + 1
-        assert_results_identical(result_a, result_b)
+        assert timed == 1
+        assert PLAN_CACHE.stats() == mid
+        assert device.batches == timed
+        assert result_b is result_a
+
+    def test_clear_drops_timed_results(self):
+        """After ``PLAN_CACHE.clear()`` a new executor times the shape
+        again, and gets equal values."""
+        model = build_ds2()
+        device = CountingDevice(paper_config(2))
+        inputs = IterationInputs(batch=16, seq_len=77)
+        first = IterationExecutor(model, device).run(inputs)
+        PLAN_CACHE.clear()
+        again = IterationExecutor(model, device).run(inputs)
+        assert device.batches == 2
+        assert again is not first
+        assert_results_identical(again, first)
+
+    def test_live_executor_honours_clear(self):
+        """An executor looks the memo up when it runs, so one built
+        before ``clear()`` times its shape again after it."""
+        executor = IterationExecutor(build_ds2(), CountingDevice(paper_config(3)))
+        inputs = IterationInputs(batch=16, seq_len=91)
+        first = executor.run_forward(inputs)
+        assert executor.run_forward(inputs) is first
+        PLAN_CACHE.clear()
+        again = executor.run_forward(inputs)
+        assert executor.device.batches == 2
+        assert again is not first
+        assert_results_identical(again, first)
+
+    def test_host_overhead_separates_results(self):
+        """A training executor (25 ms per iteration) and a serving one
+        (2 ms) on one model, config and shape share one plan but not
+        one result."""
+        model = build_gnmt()
+        device = GpuDevice(paper_config(4))
+        inputs = IterationInputs(batch=8, seq_len=57, tgt_len=61)
+        training = IterationExecutor(model, device)
+        serving = IterationExecutor(
+            model, device, host_overhead_s=DEFAULT_SERVING_OVERHEAD_S
+        )
+        assert training.host_overhead_s == DEFAULT_HOST_OVERHEAD_S == 25e-3
+        assert serving.host_overhead_s == 2e-3
+        before = PLAN_CACHE.stats()
+        slow = training.run_forward(inputs)
+        fast = serving.run_forward(inputs)
+        after = PLAN_CACHE.stats()
+        assert after["misses"] == before["misses"] + 1
+        assert after["hits"] == before["hits"] + 1
+        (plan,) = training.plans_for((inputs,), "forward")
+        assert serving.plans_for((inputs,), "forward")[0] is plan
+        assert slow.time_s != fast.time_s
+        assert slow.time_s > fast.time_s
+        assert slow.launches == fast.launches
+        assert slow.group_times == fast.group_times
+
+    def test_racing_executors_leave_every_shape_timed(self):
+        """Threads missing the same shapes at once may each time them
+        (the last write wins, the results being bit-identical); the
+        memo ends up holding every shape, so a later executor times
+        nothing."""
+        shapes = SHAPES["gnmt"]
+        config = paper_config(2)
+        expected = IterationExecutor(build_gnmt(), GpuDevice(config)).run_unique(
+            shapes, "forward"
+        )
+        model = build_gnmt()
+        seen = []
+
+        def worker():
+            executor = IterationExecutor(model, GpuDevice(config))
+            seen.append(executor.run_unique(shapes, "forward"))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 4
+        device = CountingDevice(config)
+        seen.append(IterationExecutor(model, device).run_unique(shapes, "forward"))
+        assert device.batches == 0
+        for results in seen:
+            for ours, theirs in zip(results, expected, strict=True):
+                assert_results_identical(ours, theirs)
 
     def test_models_with_equal_param_counts_never_collide(self):
         """Regression: head count changes a transformer's kernel shapes

@@ -265,3 +265,51 @@ class TestTrafficFeed:
         boundaries = [chunk.start for chunk in slices][1:]
         for boundary in boundaries:
             assert form_times[boundary - 1] != form_times[boundary]
+
+
+class TestTimedOncePerProcess:
+    def test_second_simulator_times_nothing(self, engine):
+        """A second simulator on the same model and config, serving the
+        same batches (a projection target equal to the spec's config
+        does this), reads every shape from the process-wide memo: no
+        device call, the same frame and the same profile objects."""
+        from repro.hw.config import paper_config
+        from repro.traffic import TrafficSimulator, form_batches
+        from repro.traffic import sample_requests
+        from tests.conftest import CountingDevice
+
+        spec = traffic_spec()
+        resolved = engine.resolve(spec.analysis)
+        requests = sample_requests(
+            resolved.train_data, spec.phases, spec.requests,
+            spec.analysis.seed,
+        )
+        arrival_s = spec.build_arrivals().times(
+            len(requests), spec.analysis.seed
+        )
+        batches = form_batches(
+            arrival_s, requests.seq_len, requests.tgt_len,
+            resolved.batching, spec.max_wait_s,
+        )
+
+        def serve():
+            device = CountingDevice(paper_config(spec.analysis.config))
+            simulator = TrafficSimulator(
+                resolved.model, spec.analysis.dataset, resolved.batching,
+                device,
+            )
+            return simulator.serve(requests, arrival_s, batches), device
+
+        first, _ = serve()
+        second, device = serve()
+        assert device.batches == 0
+        for column in (
+            "index", "epoch", "seq_len", "tgt_len", "time_s", "profile_id"
+        ):
+            assert np.array_equal(
+                getattr(second.frame, column), getattr(first.frame, column)
+            ), column
+        assert len(second.frame.profiles) == len(first.frame.profiles)
+        for ours, theirs in zip(second.frame.profiles, first.frame.profiles):
+            assert ours is theirs
+        assert np.array_equal(second.latency_s, first.latency_s)

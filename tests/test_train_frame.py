@@ -109,6 +109,30 @@ class TestFromRecords:
                 profiles=frame.profiles,
             )
 
+    @pytest.mark.parametrize(
+        ("bad", "shown"),
+        [(float("nan"), "nan"), (float("inf"), "inf"), (float("-inf"), "-inf")],
+    )
+    def test_non_finite_time_rejected(self, bad, shown):
+        """NaN and ±inf fail with the message records and the group-by
+        give, naming the iteration's index and its time."""
+        frame = make_trace([(10, 1.0), (20, 2.0), (10, 1.5)]).frame()
+        with pytest.raises(TraceError) as raised:
+            TraceFrame(
+                model_name="m",
+                dataset_name="d",
+                config_name="c",
+                batch_size=64,
+                index=frame.index + 40,
+                epoch=frame.epoch,
+                seq_len=frame.seq_len,
+                tgt_len=frame.tgt_len,
+                time_s=np.array([1.0, bad, 1.5]),
+                profile_id=frame.profile_id,
+                profiles=frame.profiles,
+            )
+        assert str(raised.value) == f"iteration 41: non-finite time {shown}"
+
     def test_profile_id_out_of_range_rejected(self):
         frame = make_trace([(10, 1.0)]).frame()
         with pytest.raises(TraceError, match="profile pool"):
