@@ -123,11 +123,10 @@ def capacity_factor_batch(working_set: np.ndarray, capacity: float) -> np.ndarra
     """Column form of :func:`capacity_factor` (capacity is one cache)."""
     if capacity <= 0.0:
         return np.zeros_like(working_set, dtype=np.float64)
-    # Guard the division; rows with an empty working set are replaced.
-    safe = np.where(working_set > 0.0, working_set, 1.0)
-    return np.where(
-        working_set <= 0.0, 1.0, np.minimum(1.0, capacity / safe)
-    )
+    # A working set that fits (empty and NaN included) divides by the
+    # capacity itself, giving exactly 1.0: the quotient never exceeds 1,
+    # so a subnormal working set cannot overflow it.
+    return capacity / np.fmax(working_set, capacity)
 
 
 def resolve_traffic_batch(

@@ -94,7 +94,7 @@ class InferenceRunSimulator:
                 dtype=np.int64,
             )
         count = int(seq_len.size)
-        time_s, profile_id, profiles = memoized_shape_walk(
+        time_s, profile_id, results = memoized_shape_walk(
             seq_len, tgt_len, batch,
             lambda shapes: self.executor.run_unique(shapes, "forward"),
         )
@@ -116,7 +116,7 @@ class InferenceRunSimulator:
                 tgt_len=tgt_len,
                 time_s=time_s,
                 profile_id=profile_id,
-                profiles=profiles,
+                profiles=tuple(result.profile for result in results),
             )
         )
 

@@ -4,28 +4,34 @@ Drives the iteration executor over a batching plan to produce a
 :class:`~repro.train.trace.TrainingTrace`.  Reproduces the two
 non-training phases the paper discusses and excludes from its
 representative runs: the framework *autotune* pass (charged once per
-new GEMM shape — expensive in the first epoch, free afterwards) and
-the end-of-epoch *evaluation* pass (forward-only on a held-out set,
-empirically 2-3% of epoch time).
+new GEMM problem — expensive in the first epoch, nearly free
+afterwards) and the end-of-epoch *evaluation* pass (forward-only on a
+held-out set, empirically 2-3% of epoch time).
 
 An epoch is *shape-memoized and columnar*: per Key Observation 4,
 every iteration with the same padded ``(batch, seq_len, tgt_len)``
 shape performs identical work, so an epoch walks the kernel schedule
 once per unique shape — O(unique SLs) — and broadcasts the results
 into a :class:`~repro.train.frame.TraceFrame` with vectorized column
-operations.  Autotune charging follows first appearances (a repeat
-charge is exactly ``0.0``) and per-iteration log-normal noise is
-applied on top, so the trace is bit-identical to a per-iteration loop
-over the epoch.  That loop, with per-invocation measurement and the
-scalar autotune candidate race, is kept as test code
-(``tests/reference.py``) and compared against in
+operations.  The autotune charge is one pass over the unique shapes'
+GEMM problems in first-launch order (:class:`~repro.kernels.autotune.Autotuner`),
+and per-iteration log-normal noise is applied on top, so the trace is
+bit-identical to a per-iteration loop over the epoch.  That loop, with
+per-invocation measurement and the scalar autotune candidate race, is
+kept as test code (``tests/reference.py``) and compared against in
 tests/test_plan_equivalence.py and tests/test_columnar_equivalence.py.
+
+The simulator holds no autotune state, so an epoch's trace depends only
+on its inputs and the epoch number: epoch 0 tunes against nothing and a
+later epoch against the problems epochs ``0..e-1`` launched.
 
 Optional multiplicative log-normal noise models run-to-run measurement
 jitter on real hardware; it is off by default so tests are exact.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 
@@ -49,7 +55,6 @@ def memoized_shape_walk(
     tgt_len: np.ndarray,
     batch: int,
     run_unique,
-    on_result=None,
 ):
     """Walk unique ``(seq_len, tgt_len)`` shapes in first-appearance order.
 
@@ -57,12 +62,12 @@ def memoized_shape_walk(
     inference): ``run_unique`` executes every unique shape's
     :class:`IterationInputs` in one call (see
     :meth:`~repro.train.iteration.IterationExecutor.run_unique`) and
-    returns one :class:`~repro.train.iteration.IterationResult` each;
-    ``on_result`` (optional) observes each unique shape's inputs and
-    result in epoch order — the autotune-charging hook.  Returns
-    ``(time_s, profile_id, profiles)`` with the per-shape runtimes
-    already broadcast to every iteration; the pool holds each result's
-    own shared :attr:`~repro.train.iteration.IterationResult.profile`.
+    returns one :class:`~repro.train.iteration.IterationResult` each.
+    Returns ``(time_s, profile_id, results)`` with the per-shape
+    runtimes already broadcast to every iteration; ``results`` are the
+    unique shapes' shared results in epoch order, whose ``profile``
+    makes the frame's pool and whose ``gemm_shapes`` the autotune
+    charge reads.
     """
     first_iterations, profile_id = dedupe_shapes(seq_len, tgt_len)
     shapes = [
@@ -81,11 +86,7 @@ def memoized_shape_walk(
     base_time = np.fromiter(
         (result.time_s for result in results), np.float64, len(results)
     )
-    if on_result is not None:
-        for inputs, result in zip(shapes, results):
-            on_result(inputs, result)
-    profiles = tuple(result.profile for result in results)
-    return base_time[profile_id], profile_id, profiles
+    return base_time[profile_id], profile_id, results
 
 
 class TrainingRunSimulator:
@@ -118,10 +119,6 @@ class TrainingRunSimulator:
         self.noise_seed = seed if noise_seed is None else noise_seed
         self.executor = IterationExecutor(model, device, host_overhead_s)
         self._autotuner = Autotuner(device.config)
-        # Iteration shapes whose GEMM shapes have all been charged:
-        # re-charging would contribute exactly 0.0, so an epoch skips
-        # the whole charge loop for them.
-        self._autotune_settled: set[tuple[int, int, int | None]] = set()
 
     def _noise(self, epoch: int, index: int) -> float:
         if self.noise_sigma == 0.0:
@@ -162,14 +159,16 @@ class TrainingRunSimulator:
     ) -> list[TrainingTrace]:
         """Simulate several epochs (paper Fig 2's training-run structure).
 
-        The autotune phase is charged only where shapes first appear —
-        almost entirely in epoch 0 — and every epoch gets its own
-        evaluation pass, as real training loops do.
+        The autotune phase is charged only where GEMM problems first
+        appear — almost entirely in epoch 0 — and every epoch gets its
+        own evaluation pass, as real training loops do.  Each trace
+        equals :meth:`run_epoch` of its epoch.
         """
         if epochs <= 0:
             raise ConfigurationError(f"epochs must be positive, got {epochs}")
+        tuned: set[tuple[int, int, int]] = set()
         return [
-            self.run_epoch(epoch=epoch, include_eval=include_eval)
+            TrainingTrace.from_frame(self._epoch_frame(epoch, include_eval, tuned))
             for epoch in range(epochs)
         ]
 
@@ -181,35 +180,53 @@ class TrainingRunSimulator:
     def run_epoch_frame(
         self, epoch: int = 0, include_eval: bool = True
     ) -> TraceFrame:
-        """Simulate one epoch directly into a columnar frame.
+        """Simulate one epoch of a run directly into a columnar frame.
 
-        Kernel walks happen once per unique ``(seq_len, tgt_len)``
-        shape, in first-appearance order so autotune charges accrue in
-        epoch order; runtimes are broadcast back to all iterations and
-        noised per iteration.
+        Its autotune charge counts the GEMM problems that epochs
+        ``0..epoch-1`` did not launch, so the frame depends only on this
+        simulator's inputs and ``epoch``, never on what it simulated
+        before.
         """
+        tuned: set[tuple[int, int, int]] = set()
+        batch = self.batching.batch_size
+        for earlier in range(epoch):
+            _, _, results = memoized_shape_walk(
+                *self._plan_columns(earlier), batch, self.executor.run_unique
+            )
+            for result in results:
+                tuned.update(result.gemm_shapes)
+        return self._epoch_frame(epoch, include_eval, tuned)
+
+    def _plan_columns(self, epoch: int) -> tuple[np.ndarray, np.ndarray]:
         seq_len, tgt_len = self.batching.plan_epoch_columns(
             self.dataset, epoch=epoch, seed=self.seed
         )
-        count = int(seq_len.size)
-        if count == 0:
+        if seq_len.size == 0:
             raise ConfigurationError(
                 f"{self.dataset.name}: dataset too small for one "
                 f"batch of {self.batching.batch_size}"
             )
-        autotune_s = 0.0
+        return seq_len, tgt_len
 
-        def charge_autotune(inputs: IterationInputs, result) -> None:
-            nonlocal autotune_s
-            shape_key = (inputs.batch, inputs.seq_len, inputs.tgt_len)
-            if shape_key not in self._autotune_settled:
-                for shape in result.gemm_shapes:
-                    autotune_s += self._autotuner.charge(*shape)
-                self._autotune_settled.add(shape_key)
+    def _epoch_frame(
+        self, epoch: int, include_eval: bool, tuned: set[tuple[int, int, int]]
+    ) -> TraceFrame:
+        """One epoch's frame, charging autotune against ``tuned`` (the
+        problems earlier epochs launched) and adding this epoch's.
 
+        Kernel walks happen once per unique ``(seq_len, tgt_len)``
+        shape, in first-appearance order, so the GEMM problems reach
+        the autotuner in launch order; runtimes are broadcast back to
+        all iterations and noised per iteration.
+        """
+        seq_len, tgt_len = self._plan_columns(epoch)
+        count = int(seq_len.size)
         batch = self.batching.batch_size
-        time_s, profile_id, profiles = memoized_shape_walk(
-            seq_len, tgt_len, batch, self.executor.run_unique, charge_autotune
+        time_s, profile_id, results = memoized_shape_walk(
+            seq_len, tgt_len, batch, self.executor.run_unique
+        )
+        autotune_s = self._autotuner.epoch_cost(
+            chain.from_iterable(result.gemm_shapes for result in results), tuned
         )
         noise = self._noise_column(epoch, count)
         if noise is not None:
@@ -225,7 +242,7 @@ class TrainingRunSimulator:
             tgt_len=tgt_len,
             time_s=time_s,
             profile_id=profile_id,
-            profiles=profiles,
+            profiles=tuple(result.profile for result in results),
             autotune_s=autotune_s,
             eval_s=self._eval_phase_time(epoch) if include_eval else 0.0,
         )

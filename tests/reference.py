@@ -33,7 +33,7 @@ from repro.hw.timing import (
     WorkBatch,
     WorkProfile,
 )
-from repro.kernels.autotune import _TRIALS_PER_VARIANT, _candidate_indices
+from repro.kernels.autotune import _PRUNE_FACTOR, _TRIALS_PER_VARIANT
 from repro.kernels.gemm import GEMM_VARIANTS, GemmVariant, build_gemm
 from repro.models.schedule import KernelSchedule
 from repro.models.spec import IterationInputs
@@ -279,11 +279,23 @@ def select_reference(m: int, n: int, k: int, config) -> GemmVariant:
     return best
 
 
+def candidate_indices(m: int, n: int) -> list[int]:
+    """Indices into ``GEMM_VARIANTS`` a library would try here: tiles at
+    most ``_PRUNE_FACTOR`` times the problem, else the last variant."""
+    feasible = [
+        index
+        for index, variant in enumerate(GEMM_VARIANTS)
+        if variant.tile_m <= m * _PRUNE_FACTOR
+        and variant.tile_n <= n * _PRUNE_FACTOR
+    ]
+    return feasible or [len(GEMM_VARIANTS) - 1]
+
+
 class ReferenceAutotuner:
     """The autotuner's candidate loop: the first charge of a shape
     builds and times, one invocation at a time, every variant the
-    library would try (the autotuner's own pruning rule); later charges
-    cost nothing."""
+    library would try (:func:`candidate_indices`); later charges cost
+    nothing."""
 
     def __init__(self, config):
         self.config = config
@@ -295,7 +307,7 @@ class ReferenceAutotuner:
             return 0.0
         self.tuned.add((m, n, k))
         cost = 0.0
-        for index in _candidate_indices(m, n):
+        for index in candidate_indices(m, n):
             candidate = build_gemm(GEMM_VARIANTS[index], m, n, k)
             elapsed, _, _ = time_work(candidate.work, self.config)
             cost += elapsed * _TRIALS_PER_VARIANT
@@ -385,8 +397,9 @@ class ReferenceTrainer:
     Reads the plan, noise and evaluation set of a
     :class:`~repro.train.runner.TrainingRunSimulator`; every iteration is
     measured through a :class:`ReferenceExecutor` and charged through a
-    :class:`ReferenceAutotuner`, both kept across epochs like the
-    simulator's own.
+    :class:`ReferenceAutotuner`, both kept across epochs.  Run its
+    epochs in order from 0: the autotuner then holds what the run's
+    earlier epochs tuned, which the simulator works out per epoch.
     """
 
     def __init__(self, simulator):

@@ -9,7 +9,8 @@ reaches an answer must be an explicit left fold, never ``sum()``.
 ``compensated_sum`` emulates 3.12's ``sum`` in pure Python, so this
 check runs on any version: the JSON answers of small analyze, stream,
 traffic and serial sweep specs must be the same with and without it
-installed as ``builtins.sum``.
+installed as ``builtins.sum``.  On 3.12 and later a second test checks
+the emulation against the builtin itself on random inputs.
 """
 
 from __future__ import annotations
@@ -17,6 +18,9 @@ from __future__ import annotations
 import builtins
 import json
 import math
+import random
+import struct
+import sys
 
 import pytest
 
@@ -38,29 +42,43 @@ def _add_compensated(total: float, c: float, x: float) -> tuple[float, float]:
     return t, c
 
 
+#: The range of a C ``long``, which bounds CPython's exact-int fast paths.
+_LONG_MAX = 2 ** (8 * struct.calcsize("l") - 1) - 1
+_LONG_MIN = -_LONG_MAX - 1
+
+
+def _fits_long(value: int) -> bool:
+    return _LONG_MIN <= value <= _LONG_MAX
+
+
 def compensated_sum(iterable, /, start=0):
     """An emulation of Python 3.12's builtin ``sum``.
 
-    Exact ints (and bools) add exactly.  Once the running result is an
+    While the running result is an exact ``int`` within a C long, exact
+    int (and bool) items that keep it there add exactly.  Once it is an
     exact ``float``, exact float items add with Neumaier compensation,
-    and the compensation joins the total at the end only when it is
-    finite (so an overflowed sum stays infinite rather than NaN).  Any
-    other item type (numpy scalars included) adds plainly, as it does
-    in CPython's generic path.
+    and int items within a C long add as floats; the compensation joins
+    the total at the end only when it is finite (so an overflowed sum
+    stays infinite rather than NaN).  The first item that leaves a fast
+    path (a float total meeting a numpy scalar or a huge int, an int
+    total overflowing a C long) is added plainly, and so is every item
+    after it, as in CPython's generic path.
     """
     items = iter(iterable)
     result = start
-    if type(result) is int:
+    if type(result) is int and _fits_long(result):
         for item in items:
+            if type(item) in (int, bool) and _fits_long(item) and _fits_long(result + item):
+                result += item
+                continue
             result = result + item
-            if type(item) not in (int, bool):
-                break
+            break
     if type(result) is float:
         total, c = result, 0.0
         for item in items:
             if type(item) is float:
                 total, c = _add_compensated(total, c, item)
-            elif type(item) in (int, bool):
+            elif isinstance(item, int) and _fits_long(item):
                 total += float(item)
             else:
                 if c and math.isfinite(c):
@@ -127,3 +145,49 @@ def plain_answers() -> str:
 
 def test_answers_do_not_move_under_python312_sum(plain_answers, python312_sum):
     assert fresh_answers() == plain_answers
+
+
+def random_cases(rng: random.Random, count: int):
+    """``(items, start)`` pairs on which a compensated sum and a left
+    fold often differ: floats of mixed sign and magnitude, ints on both
+    sides of a C long, bools, and overflowing or non-finite floats."""
+    for _ in range(count):
+        items = []
+        for _ in range(rng.randrange(12)):
+            roll = rng.random()
+            if roll < 0.55:
+                items.append(rng.uniform(-1.0, 1.0) * 10.0 ** rng.randrange(-30, 30))
+            elif roll < 0.65:
+                items.append(rng.choice((0.1, 0.2, 0.3, -0.0)))
+            elif roll < 0.8:
+                items.append(rng.randrange(-(2**70), 2**70) >> rng.randrange(70))
+            elif roll < 0.85:
+                items.append(rng.random() < 0.5)
+            elif roll < 0.95:
+                items.append(rng.choice((1.0, -1.0)) * rng.uniform(1e307, 1.7e308))
+            else:
+                items.append(rng.choice((math.inf, -math.inf, math.nan)))
+        yield items, rng.choice((0, 0.0, -0.0, 1, 2**63, 1e16))
+
+
+def same_value(left, right) -> bool:
+    """Equal type and value, NaN matching NaN and zeros their sign."""
+    if type(left) is not type(right):
+        return False
+    if type(left) is float:
+        if math.isnan(left):
+            return math.isnan(right)
+        return left == right and math.copysign(1.0, left) == math.copysign(1.0, right)
+    return left == right
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 12), reason="builtin sum() compensates floats from 3.12 on"
+)
+def test_emulation_matches_builtin_sum():
+    mismatches = [
+        (items, start)
+        for items, start in random_cases(random.Random(312), 20_000)
+        if not same_value(compensated_sum(items, start), sum(items, start))
+    ]
+    assert not mismatches, mismatches[:3]

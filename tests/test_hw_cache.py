@@ -1,9 +1,15 @@
 """Unit tests for repro.hw.cache."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.hw.cache import TrafficProfile, capacity_factor, resolve_traffic_batch
+from repro.hw.cache import (
+    TrafficProfile,
+    capacity_factor,
+    capacity_factor_batch,
+    resolve_traffic_batch,
+)
 from repro.hw.config import paper_config
 from repro.util.units import KIB, MIB
 from tests.conftest import one_row
@@ -34,6 +40,21 @@ class TestCapacityFactor:
 
     def test_empty_working_set_fully_captured(self):
         assert capacity_factor(0, 1024) == 1.0
+
+    @pytest.mark.parametrize("capacity", [0.0, 1.0, 16 * KIB, 4 * MIB])
+    def test_batch_matches_scalar_without_overflow(self, capacity):
+        # A subnormal working set once overflowed capacity / working_set
+        # to inf before the clamp; no edge may raise a float error now.
+        working_set = np.array([
+            0.0, -0.0, 5e-324, 1e-310, 2.2e-308, np.inf, -np.inf, np.nan,
+            np.nextafter(capacity, 0.0), capacity,
+            np.nextafter(capacity, np.inf), 1.5 * capacity, 1e308,
+        ])
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            batch = capacity_factor_batch(working_set, capacity)
+        assert batch.tolist() == [
+            capacity_factor(float(value), capacity) for value in working_set
+        ]
 
 
 class TestResolveTraffic:

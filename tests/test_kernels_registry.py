@@ -45,32 +45,39 @@ class TestRegistry:
 class TestAutotuner:
     def test_first_charge_costs(self):
         tuner = Autotuner(paper_config(1))
-        assert tuner.charge(256, 256, 256) > 0.0
+        assert tuner.epoch_cost([(256, 256, 256)], set()) > 0.0
 
     def test_second_charge_free(self):
         tuner = Autotuner(paper_config(1))
-        tuner.charge(256, 256, 256)
-        assert tuner.charge(256, 256, 256) == 0.0
+        tuned: set = set()
+        tuner.epoch_cost([(256, 256, 256)], tuned)
+        assert tuned == {(256, 256, 256)}
+        assert tuner.epoch_cost([(256, 256, 256)], tuned) == 0.0
+        # Repeats within one epoch are tuned once too.
+        once = tuner.epoch_cost([(64, 64, 64)], set())
+        assert tuner.epoch_cost([(64, 64, 64)] * 3, set()) == once
 
     def test_total_accumulates(self):
         tuner = Autotuner(paper_config(1))
-        first = tuner.charge(256, 256, 256)
-        second = tuner.charge(512, 512, 512)
-        assert tuner.total_cost_s == pytest.approx(first + second)
-        assert tuner.shapes_tuned == 2
+        first = tuner.epoch_cost([(256, 256, 256)], set())
+        second = tuner.epoch_cost([(512, 512, 512)], set())
+        tuned: set = set()
+        assert tuner.epoch_cost(
+            [(256, 256, 256), (512, 512, 512)], tuned
+        ) == first + second
+        assert len(tuned) == 2
 
     def test_reset(self):
+        # The tuner keeps nothing between charges: a new run (an empty
+        # tuned set) pays again.
         tuner = Autotuner(paper_config(1))
-        tuner.charge(64, 64, 64)
-        tuner.reset()
-        assert tuner.shapes_tuned == 0
-        assert tuner.charge(64, 64, 64) > 0.0
+        first = tuner.epoch_cost([(64, 64, 64)], set())
+        assert tuner.epoch_cost([(64, 64, 64)], set()) == first > 0.0
 
     def test_skinny_shapes_prune_candidates(self):
         # A skinny problem tunes fewer (and cheaper) variants than a
         # large square one of comparable FLOPs.
         tuner = Autotuner(paper_config(1))
-        skinny = tuner.charge(4, 1 << 16, 1024)
-        tuner2 = Autotuner(paper_config(1))
-        square = tuner2.charge(512, 512, 1024)
+        skinny = tuner.epoch_cost([(4, 1 << 16, 1024)], set())
+        square = tuner.epoch_cost([(512, 512, 1024)], set())
         assert skinny > 0 and square > 0

@@ -48,7 +48,7 @@ from repro.models.spec import IterationInputs
 from repro.models.transformer import build_transformer
 from repro.train.inference import DEFAULT_SERVING_OVERHEAD_S, InferenceRunSimulator
 from repro.train.iteration import DEFAULT_HOST_OVERHEAD_S, IterationExecutor
-from repro.train.runner import TrainingRunSimulator
+from repro.train.runner import TrainingRunSimulator, memoized_shape_walk
 from tests.conftest import CountingDevice
 from tests.reference import (
     ReferenceAutotuner,
@@ -170,14 +170,24 @@ class TestEpochEquivalenceMatrix:
     def test_multi_epoch_autotune_settling_identical(self):
         simulator = self._simulator("gnmt", 1, 0)
         reference = ReferenceTrainer(simulator)
+        expected = [reference.run_epoch(epoch) for epoch in range(2)]
+        for epoch, trace in enumerate(simulator.run_training(2)):
+            assert_traces_bit_identical(trace, expected[epoch])
+            assert_traces_bit_identical(simulator.run_epoch(epoch), expected[epoch])
+        # Autotune settles after the problems' first epoch in both: the
+        # epochs' charges tune exactly the problems the reference tuned.
+        autotuner = Autotuner(simulator.device.config)
+        tuned: set = set()
         for epoch in range(2):
-            assert_traces_bit_identical(
-                simulator.run_epoch(epoch), reference.run_epoch(epoch)
+            seq_len, tgt_len = simulator.batching.plan_epoch_columns(
+                simulator.dataset, epoch=epoch, seed=simulator.seed
             )
-        # Autotune settles after the shapes' first epoch in both.
-        assert (
-            simulator._autotuner.total_cost_s == reference.autotuner.total_cost_s
-        )
+            _, _, results = memoized_shape_walk(
+                seq_len, tgt_len, simulator.batching.batch_size, simulator.executor.run_unique
+            )
+            launches = [shape for result in results for shape in result.gemm_shapes]
+            assert autotuner.epoch_cost(launches, tuned) == expected[epoch].autotune_s
+        assert tuned == reference.autotuner.tuned
 
     def test_inference_pass_bit_identical(self):
         corpus = DATASETS.create(default_dataset("gnmt"), scale=0.02)
@@ -223,11 +233,14 @@ class TestGemmRaceEquivalence:
         config = paper_config(config_index)
         tuner = Autotuner(config)
         reference = ReferenceAutotuner(config)
-        for shape in self.PROBLEMS:
-            assert tuner.charge(*shape) == reference.charge(*shape)
-        assert tuner.total_cost_s == reference.total_cost_s
+        # (1, 1, 1) prunes every variant and falls back to the last.
+        costs = tuner.problem_costs(self.PROBLEMS).tolist()
+        assert costs == [reference.charge(*shape) for shape in self.PROBLEMS]
+        tuned: set = set()
+        assert tuner.epoch_cost(self.PROBLEMS, tuned) == reference.total_cost_s
+        assert tuned == reference.tuned
         # Re-charging is free in both.
-        assert tuner.charge(*self.PROBLEMS[0]) == 0.0
+        assert tuner.epoch_cost(self.PROBLEMS[:1], tuned) == 0.0
         assert reference.charge(*self.PROBLEMS[0]) == 0.0
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.data.batching import ShuffledBatching, SortedBatching
+from repro.data.batching import ShuffledBatching, SortaGradBatching, SortedBatching
 from repro.data.dataset import Sample, SequenceDataset
 from repro.data.iwslt import build_iwslt
 from repro.data.librispeech import build_librispeech
@@ -42,6 +42,25 @@ class TestRunEpoch:
         assert first.autotune_s > 0
         # All shapes were tuned in epoch 0.
         assert second.autotune_s == 0.0
+
+    def test_epoch_independent_of_history(self, devices):
+        # The runner keeps no autotune state: an epoch's trace is the
+        # same however often, and after whatever, it is simulated.
+        sim = TrainingRunSimulator(
+            build_ds2(),
+            build_librispeech(utterances=640),
+            SortaGradBatching(64),
+            devices[1],
+        )
+        first = sim.run_epoch(epoch=0, include_eval=False)
+        assert first.autotune_s > 0
+        again = sim.run_epoch(epoch=0, include_eval=False)
+        assert again.autotune_s == first.autotune_s
+        run = sim.run_training(epochs=3, include_eval=False)
+        assert [
+            sim.run_epoch(epoch=epoch, include_eval=False).autotune_s
+            for epoch in (2, 1, 0)
+        ] == [trace.autotune_s for trace in reversed(run)]
 
     def test_metadata_recorded(self, ds2_sim):
         trace = ds2_sim.run_epoch(include_eval=False)
