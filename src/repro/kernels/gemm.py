@@ -11,6 +11,11 @@ Observation 3 (one kernel, different dims across iterations).
 Selection is by predicted runtime on the target device (the library's
 autotune ground truth); :mod:`repro.kernels.autotune` layers the "first
 epoch tries everything" behaviour on top.
+
+Lowering with no config (``gemm(m, n, k, None)``) leaves the choice
+open: each GEMM is a placeholder carrying only its ``(m, n, k)`` and
+group, and :func:`~repro.models.plan.resolve_plans` races every
+placeholder of a plan, or of many plans, as one array per config.
 """
 
 from __future__ import annotations
@@ -23,12 +28,13 @@ from threading import Lock
 import numpy as np
 
 from repro.errors import KernelSelectionError
-from repro.hw.cache import capacity_factor
-from repro.hw.compute import _LATENCY_HIDING_WAVES
+from repro.hw.cache import TrafficProfile, capacity_factor
+from repro.hw.compute import _LATENCY_HIDING_WAVES, ComputeProfile
 from repro.hw.config import HardwareConfig
 from repro.hw.timing import (
     _INFLIGHT_BYTES_PER_WAVE,
     WorkBatch,
+    WorkProfile,
     time_work_batch,
 )
 from repro.kernels.base import FLOAT_BYTES, KernelInvocation, make_invocation
@@ -461,6 +467,36 @@ def _select(m: int, n: int, k: int, config: HardwareConfig) -> GemmVariant:
     return GEMM_VARIANTS[int(np.argmin(candidate_times(m, n, k, config)))]
 
 
+#: The kernel name and work every placeholder shares.  Neither is ever
+#: timed: :func:`~repro.models.plan.resolve_plans` replaces both on each
+#: GEMM row, and no placeholder's name survives into a resolved plan.
+_PLACEHOLDER_NAME = "gemm_unresolved"
+_PLACEHOLDER_WORK = WorkProfile(
+    compute=ComputeProfile(flops=0.0, work_items=1),
+    traffic=TrafficProfile(read_bytes=0.0, write_bytes=0.0),
+)
+
+
+@lru_cache(maxsize=65536)
+def _placeholder(m: int, n: int, k: int, group: str) -> KernelInvocation:
+    """The one config-free invocation of this problem and group.
+
+    Placeholders are equal exactly when their ``(m, n, k, group)`` is,
+    as the dispatched invocations are on any one config (equal problems
+    pick equal variants, and the shape is part of the invocation), so a
+    config-free schedule merges as every config's does.
+    """
+    if min(m, n, k) <= 0:
+        raise KernelSelectionError(f"GEMM dims must be positive, got {(m, n, k)}")
+    return KernelInvocation(
+        name=_PLACEHOLDER_NAME,
+        op="gemm",
+        group=group,
+        shape=(m, n, k),
+        work=_PLACEHOLDER_WORK,
+    )
+
+
 def clear_gemm_caches() -> None:
     """Drop every memo in this module (for cold benchmarks)."""
     build_gemm.cache_clear()
@@ -468,18 +504,30 @@ def clear_gemm_caches() -> None:
         _RACE_ROWS.clear()
     _select.cache_clear()
     _race_env.cache_clear()
+    _placeholder.cache_clear()
     gemm.cache_clear()
 
 
 @lru_cache(maxsize=65536)
 def gemm(
-    m: int, n: int, k: int, config: HardwareConfig, group: str = "gemm"
+    m: int, n: int, k: int, config: HardwareConfig | None, group: str = "gemm"
 ) -> KernelInvocation:
-    """The invocation the library would dispatch for this GEMM.
+    """The invocation the library would dispatch for this GEMM on
+    ``config``, or with ``config=None`` its config-free placeholder.
+
+    The placeholder (op ``"gemm"``, shape ``(m, n, k)``, one shared
+    name and work profile) is what plans are built from: the plan cache
+    lowers each shape once with no config and resolves the placeholders
+    onto each config as one array race
+    (:func:`~repro.models.plan.resolve_plans`).  With a config, the
+    problem is raced alone (:func:`_select`); direct callers and GEMMs
+    outside :func:`race_exact` take that path.
 
     Memoised on the full request: recurrent models re-request the same
     dispatch thousands of times per epoch, and even two warm cache
     lookups (selection + build) per call are measurable on the lowering
     hot path.
     """
+    if config is None:
+        return _placeholder(m, n, k, group)
     return build_gemm(_select(m, n, k, config), m, n, k, group)

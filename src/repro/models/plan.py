@@ -36,10 +36,13 @@ unique shape instead of re-lowering it, and one timed result
 The hardware config enters lowering only through each GEMM's
 macro-tile choice (:func:`~repro.kernels.gemm.gemm`): kernel list, merge
 pattern, counts, groups and GEMM dims are the same on every config.  So
-the cache keeps the first plan compiled for each (model, pass, shape)
-as that shape's skeleton, and :func:`resolve_plans` builds the shape's
-plan on any other config from it — re-racing only the GEMM rows —
-equal in every field to lowering and compiling it there.
+a shape is lowered once with no config, every GEMM a placeholder, and
+:func:`resolve_plans` builds the shape's plan on each config from that
+config-free plan, racing only the GEMM rows, equal in every field to
+lowering and compiling it with the config.  The cache keeps the first
+resolved plan of each (model, pass, shape) as that shape's skeleton,
+from which later configs resolve the same way; the config-free plan
+itself is dropped once resolved.
 """
 
 from __future__ import annotations
@@ -112,8 +115,9 @@ class SchedulePlan:
     #: The config-free skeleton: one ``(row, m, n, k)`` line per merged
     #: GEMM row (int64, ``(G, 4)``), shared by the shape's plans on
     #: every config.  ``None`` when the plan cannot be resolved onto
-    #: other configs (loaded from a :class:`PlanStore`, or a GEMM
-    #: outside :func:`~repro.kernels.gemm.race_exact`).
+    #: configs (loaded from a :class:`PlanStore`, or a GEMM outside
+    #: :func:`~repro.kernels.gemm.race_exact`, whose shape is lowered
+    #: with each config instead).
     gemm_rows: np.ndarray | None = None
 
     def __len__(self) -> int:
@@ -223,7 +227,9 @@ def compile_plan(schedule: KernelSchedule) -> SchedulePlan:
 def resolve_plans(
     plans: Sequence[SchedulePlan], config: HardwareConfig
 ) -> list[SchedulePlan]:
-    """Each plan's shape compiled on ``config``, from its skeleton.
+    """Each plan's shape compiled on ``config``, from its skeleton: a
+    config-free plan (lowered with ``config=None``) or the shape's plan
+    on any config.
 
     Only the GEMM rows depend on the config.  All the plans' GEMM
     problems are raced together

@@ -9,9 +9,11 @@ config — the paper's Key Observation 4 (all iterations at a given SL
 behave the same) is a structural property here.
 
 The hardware config may enter lowering only through each GEMM's
-variant choice in :func:`~repro.kernels.gemm.gemm`, as in every builtin
-layer: the plan cache lowers each (model, pass, shape) on the first
-config it meets and builds the other configs' plans from that one
+variant choice in :func:`~repro.kernels.gemm.gemm`, and a model passes
+it there untouched, ``None`` included, as every builtin layer does.
+The plan cache lowers each (model, pass, shape) once with
+``config=None``, which makes every GEMM a config-free placeholder, and
+builds each config's plan from that schedule, the first config's too
 (:func:`~repro.models.plan.resolve_plans`).
 """
 
@@ -80,15 +82,17 @@ class Model(ABC):
 
     @abstractmethod
     def lower_iteration(
-        self, inputs: IterationInputs, config: HardwareConfig
+        self, inputs: IterationInputs, config: HardwareConfig | None
     ) -> KernelSchedule:
-        """Kernel schedule of one full training iteration."""
+        """Kernel schedule of one full training iteration (config-free
+        when ``config`` is ``None``)."""
 
     @abstractmethod
     def lower_forward(
-        self, inputs: IterationInputs, config: HardwareConfig
+        self, inputs: IterationInputs, config: HardwareConfig | None
     ) -> KernelSchedule:
-        """Kernel schedule of a forward-only (evaluation) pass."""
+        """Kernel schedule of a forward-only (evaluation) pass
+        (config-free when ``config`` is ``None``)."""
 
     @abstractmethod
     def param_count(self) -> int:

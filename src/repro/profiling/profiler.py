@@ -12,7 +12,9 @@ pipeline times: the profiler asks an
 training plan (through the process-wide plan cache), times it with one
 :meth:`~repro.hw.device.GpuDevice.run_batch` call, and walks its merged
 rows in order.  So a profile's time and counters equal the executor's
-result for that shape (host overhead aside).
+result for that shape (host overhead aside).  Each shape is profiled
+once per :class:`Profiler`; a repeat returns the same read-only
+:class:`IterationProfile`.
 """
 
 from __future__ import annotations
@@ -33,7 +35,11 @@ DEFAULT_PROFILING_OVERHEAD = 8.0
 
 @dataclass(frozen=True)
 class IterationProfile:
-    """Everything the profiler captures for one iteration."""
+    """Everything the profiler captures for one iteration.
+
+    The :class:`Profiler` that made it hands the same object to every
+    request for its shape, so it is read-only, ``profile`` included.
+    """
 
     inputs: IterationInputs
     time_s: float
@@ -68,9 +74,16 @@ class Profiler:
         self.device = device
         self.overhead_multiplier = overhead_multiplier
         self._executor = IterationExecutor(model, device)
+        self._profiles: dict[IterationInputs, IterationProfile] = {}
 
     def profile_iteration(self, inputs: IterationInputs) -> IterationProfile:
-        """Run one training iteration under the profiler."""
+        """Run one training iteration under the profiler (once per shape)."""
+        profiled = self._profiles.get(inputs)
+        if profiled is None:
+            profiled = self._profiles[inputs] = self._profile(inputs)
+        return profiled
+
+    def _profile(self, inputs: IterationInputs) -> IterationProfile:
         (plan,) = self._executor.plans_for((inputs,), "train")
         measurement = self.device.run_batch(plan.work)
         times = measurement.time_s.tolist()

@@ -5,8 +5,8 @@ perform identical work, so a shape is lowered and timed once per
 process — that is what makes full-epoch simulation cheap enough to
 treat as ground truth.  The process-wide
 :data:`~repro.models.plan.PLAN_CACHE` holds each shape's columnar
-:class:`~repro.models.plan.SchedulePlan` (a shape already lowered on
-another hardware config is resolved from its skeleton) and, beside it,
+:class:`~repro.models.plan.SchedulePlan` (lowered once with no hardware
+config, and resolved onto each config from a skeleton) and, beside it,
 the shape's timed :class:`IterationResult`, shared by every executor
 over the same model, config and host overhead.  Results and their
 profiles are read-only shared values, like plans.  Many shapes' plans
@@ -35,6 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from repro.hw.counters import COUNTER_FIELDS, CounterSet
+from repro.hw.config import HardwareConfig
 from repro.hw.device import BatchMeasurement, GpuDevice
 from repro.hw.timing import WorkBatch
 from repro.models.plan import (
@@ -148,13 +149,33 @@ class IterationExecutor:
         executor honours ``PLAN_CACHE.clear()``."""
         return PLAN_CACHE.results(self._memo_keys[kind])
 
-    def _lower(self, inputs: IterationInputs, kind: str) -> KernelSchedule:
+    def _lower(
+        self, inputs: IterationInputs, kind: str, config: HardwareConfig | None
+    ) -> KernelSchedule:
         lower = (
             self.model.lower_iteration
             if kind == "train"
             else self.model.lower_forward
         )
-        return lower(inputs, self.device.config)
+        return lower(inputs, config)
+
+    def _build(
+        self,
+        inputs: IterationInputs,
+        kind: str,
+        skeleton: SchedulePlan | None,
+    ) -> SchedulePlan:
+        """One shape's plan on this executor's config, from ``skeleton``
+        (its plan on another config) or else from its config-free
+        lowering.  A skeleton holding a GEMM outside
+        :func:`~repro.kernels.gemm.race_exact` (``gemm_rows is None``)
+        cannot be resolved, so that shape is lowered with the config,
+        the only lowering in :meth:`plans_for` that takes one."""
+        if skeleton is None:
+            skeleton = compile_plan(self._lower(inputs, kind, None))
+        if skeleton.gemm_rows is None:
+            return compile_plan(self._lower(inputs, kind, self.device.config))
+        return resolve_plans([skeleton], self.device.config)[0]
 
     def _fingerprint(self, inputs: IterationInputs, kind: str) -> dict | None:
         """The cross-process plan-store key of one plan, or ``None``.
@@ -181,12 +202,20 @@ class IterationExecutor:
     ) -> list[SchedulePlan]:
         """These shapes' compiled plans, through the process-wide cache.
 
-        Hits cost one lookup each.  The misses whose shape has a
-        skeleton (its plan on another config) are resolved from it
-        together, racing all their GEMM problems as one array
-        (:func:`~repro.models.plan.resolve_plans`); any other miss lowers
-        and compiles.  The plan-store fingerprint is built only for a
-        miss while a store is attached.
+        Hits cost one lookup each.  A miss takes its shape's skeleton,
+        the shape's plan on another config, or else lowers the shape
+        once with no config (:meth:`_build`).  Misses are resolved onto
+        this config in chunks of at most :data:`_MAX_BATCH_ROWS` kernel
+        rows, racing each chunk's GEMM problems as one array
+        (:func:`~repro.models.plan.resolve_plans`); a chunk's
+        config-free plans are dropped once it is resolved.
+
+        With a plan store attached and a model that has a fingerprint,
+        each miss builds its one shape inside the store's per-key lock
+        (:meth:`~repro.models.plan.PlanCache.get_or_compile`), so a plan
+        the store holds loads with no lowering and a missing one is
+        lowered once machine-wide.  The fingerprint is built only for
+        such a miss.
         """
         config = self.device.config
         model_key = self.model.plan_key()
@@ -196,27 +225,59 @@ class IterationExecutor:
         ]
         plans = [PLAN_CACHE.get(key) for key in keys]
         misses = [index for index, plan in enumerate(plans) if plan is None]
-        skeletons = {}
-        for index in misses:
-            skeleton = PLAN_CACHE.skeleton(keys[index])
-            if skeleton is not None:
-                skeletons[index] = skeleton
-        resolved = dict(
-            zip(skeletons, resolve_plans(list(skeletons.values()), config))
-        )
+        if not misses:
+            return plans
+        if PLAN_CACHE.store is not None and self.model.plan_fingerprint() is not None:
+            for index in misses:
+                inputs = inputs_seq[index]
+                skeleton = PLAN_CACHE.skeleton(keys[index])
+                plans[index] = PLAN_CACHE.get_or_compile(
+                    keys[index],
+                    lambda inputs=inputs, skeleton=skeleton: self._build(
+                        inputs, kind, skeleton
+                    ),
+                    fingerprint=self._fingerprint(inputs, kind),
+                )
+            return plans
+
+        chunk: list[tuple[int, SchedulePlan]] = []
+        rows = 0
         for index in misses:
             inputs = inputs_seq[index]
-            if index in resolved:
-                build = lambda plan=resolved[index]: plan
-            else:
-                build = lambda inputs=inputs: compile_plan(self._lower(inputs, kind))
-            fingerprint = None
-            if PLAN_CACHE.store is not None:
-                fingerprint = self._fingerprint(inputs, kind)
-            plans[index] = PLAN_CACHE.get_or_compile(
-                keys[index], build, fingerprint=fingerprint
-            )
+            skeleton = PLAN_CACHE.skeleton(keys[index])
+            if skeleton is None:
+                skeleton = compile_plan(self._lower(inputs, kind, None))
+            if skeleton.gemm_rows is None:
+                plans[index] = PLAN_CACHE.get_or_compile(
+                    keys[index],
+                    lambda inputs=inputs, skeleton=skeleton: self._build(
+                        inputs, kind, skeleton
+                    ),
+                )
+                continue
+            if chunk and rows + len(skeleton) > _MAX_BATCH_ROWS:
+                self._resolve_into(plans, keys, chunk)
+                chunk, rows = [], 0
+            chunk.append((index, skeleton))
+            rows += len(skeleton)
+        self._resolve_into(plans, keys, chunk)
         return plans
+
+    def _resolve_into(
+        self,
+        plans: list[SchedulePlan | None],
+        keys: list[tuple],
+        chunk: list[tuple[int, SchedulePlan]],
+    ) -> None:
+        """Resolve a chunk of ``(index, skeleton)`` misses onto this
+        config with one race, caching each plan at ``plans[index]``."""
+        resolved = resolve_plans(
+            [skeleton for _, skeleton in chunk], self.device.config
+        )
+        for (index, _), plan in zip(chunk, resolved):
+            plans[index] = PLAN_CACHE.get_or_compile(
+                keys[index], lambda plan=plan: plan
+            )
 
     def _time_plans(self, plans: Sequence[SchedulePlan]) -> list[IterationResult]:
         """Time plans with few device calls, one result per plan.

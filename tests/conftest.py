@@ -20,6 +20,7 @@ from repro.hw.config import paper_config
 from repro.hw.counters import CounterSet
 from repro.hw.device import BatchMeasurement, GpuDevice
 from repro.hw.timing import WorkBatch, WorkProfile
+from repro.models.gnmt import GnmtModel
 from repro.stream.feed import FrameSlice
 from repro.train.frame import SCHEMA_V1, TraceFrame
 from repro.train.trace import IterationRecord, TrainingTrace
@@ -203,6 +204,17 @@ class CountingDevice(GpuDevice):
     def run_batch(self, work):
         self.batches += 1
         return super().run_batch(work)
+
+
+class CountingGnmt(GnmtModel):
+    """GNMT that counts its lowerings (``lower_iteration`` lowers
+    through ``lower_forward``, so one count per lowered pass)."""
+
+    lowered = 0
+
+    def lower_forward(self, inputs, config):
+        self.lowered += 1
+        return super().lower_forward(inputs, config)
 
 
 @pytest.fixture

@@ -24,6 +24,7 @@ from repro.api.registry import (
     default_batching,
     default_dataset,
 )
+from repro.errors import KernelSelectionError
 from repro.hw.config import paper_config
 from repro.hw.device import GpuDevice
 from repro.kernels import clear_lowering_caches
@@ -33,23 +34,26 @@ from repro.kernels.gemm import (
     _select,
     build_gemm,
     candidate_times,
+    gemm,
+    race_exact,
 )
 from repro.models.cnn import build_cnn
 from repro.models.convs2s import build_convs2s
 from repro.models.ds2 import build_ds2
-from repro.models.gnmt import GnmtModel, build_gnmt
+from repro.models.gnmt import build_gnmt
 from repro.models.plan import (
     _WORK_COLUMNS,
     PLAN_CACHE,
     compile_plan,
     resolve_plans,
 )
-from repro.models.spec import IterationInputs
+from repro.models.schedule import KernelSchedule
+from repro.models.spec import IterationInputs, Model
 from repro.models.transformer import build_transformer
 from repro.train.inference import DEFAULT_SERVING_OVERHEAD_S, InferenceRunSimulator
 from repro.train.iteration import DEFAULT_HOST_OVERHEAD_S, IterationExecutor
 from repro.train.runner import TrainingRunSimulator, memoized_shape_walk
-from tests.conftest import CountingDevice
+from tests.conftest import CountingDevice, CountingGnmt
 from tests.reference import (
     ReferenceAutotuner,
     ReferenceExecutor,
@@ -411,6 +415,9 @@ def assert_plans_identical(resolved, compiled):
         assert np.array_equal(ours.view(np.int64), theirs.view(np.int64)), name
     for name in ("counts", "group_id", "name_id", "gemm_rows"):
         ours, theirs = getattr(resolved, name), getattr(compiled, name)
+        if theirs is None:
+            assert ours is None, name
+            continue
         assert ours.dtype == theirs.dtype == np.int64, name
         assert np.array_equal(ours, theirs), name
     assert resolved.groups == compiled.groups
@@ -418,22 +425,31 @@ def assert_plans_identical(resolved, compiled):
     assert resolved.gemm_shapes == compiled.gemm_shapes
 
 
+def lowered_plans(model, config):
+    """``compile_plan(lower(inputs, config))`` over :data:`RESOLVE_SHAPES`
+    and both passes (``config=None``: the config-free skeletons)."""
+    return [
+        compile_plan(lower(inputs, config))
+        for inputs in RESOLVE_SHAPES
+        for lower in (model.lower_iteration, model.lower_forward)
+    ]
+
+
 class TestPlanResolution:
-    """A shape's plan resolved from its skeleton on another config is
-    the plan lowering and compiling it there would produce."""
+    """A shape's plan resolved from its skeleton, config-free or on
+    another config, is the plan lowering and compiling it on the target
+    config would produce."""
 
     @pytest.mark.parametrize("network", sorted(BUILTINS))
     def test_resolved_equals_lowered_from_every_start(self, network):
         model = BUILTINS[network]()
-        compiled = {
-            index: [
-                compile_plan(lower(inputs, paper_config(index)))
-                for inputs in RESOLVE_SHAPES
-                for lower in (model.lower_iteration, model.lower_forward)
-            ]
-            for index in CONFIGS
-        }
+        compiled = {index: lowered_plans(model, paper_config(index)) for index in CONFIGS}
         assert all(plan.gemm_rows is not None for plan in compiled[1])
+        free = lowered_plans(model, None)
+        for target in CONFIGS:
+            resolved = resolve_plans(free, paper_config(target))
+            for ours, theirs in zip(resolved, compiled[target], strict=True):
+                assert_plans_identical(ours, theirs)
         for start in CONFIGS:
             for target in CONFIGS:
                 # All shapes and passes at once: one race, one splice.
@@ -448,25 +464,77 @@ class TestPlanResolution:
     def test_no_plans(self):
         assert resolve_plans([], paper_config(2)) == []
 
+    def test_placeholders_merge_like_dispatched_gemms(self):
+        """Config-free GEMMs are one object per (m, n, k, group), keep the
+        dims check, and leave no placeholder name in a resolved plan."""
+        assert gemm(8, 16, 32, None, "GEMM-1") is gemm(8, 16, 32, None, group="GEMM-1")
+        assert gemm(8, 16, 32, None) is not gemm(8, 16, 32, None, "GEMM-1")
+        assert gemm(8, 16, 32, None).shape == (8, 16, 32)
+        with pytest.raises(KernelSelectionError, match="positive"):
+            gemm(0, 16, 32, None)
+        model = build_gnmt()
+        inputs = IterationInputs(batch=3, seq_len=37, tgt_len=5)
+        free = compile_plan(model.lower_forward(inputs, None))
+        placeholder = gemm(1, 1, 1, None).name
+        assert placeholder in free.names
+        assert not any(name.startswith("Cijk") for name in free.names)
+        (resolved,) = resolve_plans([free], paper_config(1))
+        assert placeholder not in resolved.names
+
+
+class WideGemmModel(Model):
+    """One ordinary GEMM and one outside the exact array race."""
+
+    WIDE = (2**18, 2**18, 307200)
+
+    def __init__(self):
+        super().__init__("wide-gemm")
+
+    def lower_forward(self, inputs, config):
+        return KernelSchedule(
+            [
+                (gemm(inputs.batch, 64, 32, config, group="GEMM-1"), inputs.seq_len),
+                (gemm(*self.WIDE, config, group="GEMM-2"), 1),
+            ]
+        )
+
+    def lower_iteration(self, inputs, config):
+        return self.lower_forward(inputs, config)
+
+    def param_count(self):
+        return 0
+
+
+class TestConfigFallback:
+    """A GEMM outside :func:`race_exact` cannot be resolved as an array:
+    its shape is lowered with each config, and the plans match."""
+
+    def test_wide_gemm_plans_equal_lowering_with_the_config(self):
+        assert not race_exact(*WideGemmModel.WIDE)
+        model = WideGemmModel()
+        inputs = IterationInputs(batch=4, seq_len=9)
+        assert compile_plan(model.lower_forward(inputs, None)).gemm_rows is None
+        for index in (1, 3, 4):
+            config = paper_config(index)
+            (plan,) = IterationExecutor(model, GpuDevice(config)).plans_for(
+                (inputs,), "forward"
+            )
+            assert plan.gemm_rows is None
+            assert_plans_identical(
+                plan, compile_plan(model.lower_forward(inputs, config))
+            )
+
 
 def clear_process_caches():
     PLAN_CACHE.clear()
     clear_lowering_caches()
 
 
-class CountingGnmt(GnmtModel):
-    """GNMT that counts its forward lowerings."""
-
-    lowered = 0
-
-    def lower_forward(self, inputs, config):
-        self.lowered += 1
-        return super().lower_forward(inputs, config)
-
-
 class TestCrossConfigSimulation:
-    """The first config a shape meets lowers it; later configs resolve
-    it.  Which config comes first must not change any number."""
+    """A shape is lowered once, with no config, and every config's plan
+    is resolved from a skeleton: the config-free plan for the first
+    config a shape meets, that config's plan for the later ones.  Which
+    config comes first must not change any number."""
 
     @pytest.mark.parametrize("network", ["gnmt", "ds2"])
     def test_config_order_does_not_change_frames(self, network):

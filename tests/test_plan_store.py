@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 from repro.hw.config import paper_config
+from repro.hw.device import GpuDevice
+from repro.kernels import clear_lowering_caches
 from repro.models.cnn import CnnModel
 from repro.models.convs2s import ConvS2SModel
 from repro.models.ds2 import Ds2Model
@@ -21,6 +23,9 @@ from repro.models.gnmt import GnmtModel
 from repro.models.plan import PLAN_CACHE, PlanCache, PlanStore, compile_plan
 from repro.models.spec import IterationInputs, Model
 from repro.models.transformer import TransformerModel
+from repro.train.iteration import IterationExecutor
+from tests.conftest import CountingGnmt
+from tests.reference import assert_results_identical
 
 
 def tiny_plan():
@@ -221,6 +226,43 @@ class TestPlanCacheIntegration:
         cache.attach_store(PlanStore(tmp_path))
         cache.get_or_compile(("k",), tiny_plan)
         assert not list(Path(tmp_path).glob("*.npt"))
+
+    def test_warm_store_lowers_nothing(self, tmp_path):
+        """A plan the store holds loads before any lowering: after a
+        cold run writes the store, a run with empty process caches
+        lowers no shape, on the first config or any other, and answers
+        the same."""
+        shapes = [
+            IterationInputs(batch=4, seq_len=9, tgt_len=8),
+            IterationInputs(batch=1, seq_len=1, tgt_len=1),
+            IterationInputs(batch=16, seq_len=40, tgt_len=37),
+        ]
+
+        def run(model):
+            return {
+                index: IterationExecutor(
+                    model, GpuDevice(paper_config(index))
+                ).run_unique(shapes, "train")
+                for index in (2, 1, 4)
+            }
+
+        previous = PLAN_CACHE.attach_store(PlanStore(tmp_path))
+        try:
+            PLAN_CACHE.clear()
+            clear_lowering_caches()
+            cold_model = CountingGnmt()
+            cold = run(cold_model)
+            assert cold_model.lowered == len(shapes)  # config-free, once each
+            PLAN_CACHE.clear()
+            clear_lowering_caches()
+            warm_model = CountingGnmt()
+            warm = run(warm_model)
+        finally:
+            PLAN_CACHE.attach_store(previous)
+        assert warm_model.lowered == 0
+        for index, results in cold.items():
+            for ours, theirs in zip(warm[index], results, strict=True):
+                assert_results_identical(ours, theirs)
 
     def test_stats_shape_unchanged(self):
         cache = PlanCache()

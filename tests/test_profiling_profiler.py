@@ -10,6 +10,7 @@ from repro.models.plan import PLAN_CACHE
 from repro.models.spec import IterationInputs
 from repro.profiling.profiler import Profiler
 from repro.train.iteration import IterationExecutor
+from tests.conftest import CountingDevice
 
 
 class TestProfiler:
@@ -68,3 +69,21 @@ class TestProfiler:
     def test_overhead_below_one_rejected(self, device1):
         with pytest.raises(ValueError):
             Profiler(build_ds2(), device1, overhead_multiplier=0.5)
+
+    def test_repeat_shape_is_profiled_once(self):
+        """A second request for a shape re-times nothing and returns the
+        one shared profile, equal to a fresh profiler's."""
+        model = build_gnmt()
+        inputs = IterationInputs(16, 21, 19)
+        device = CountingDevice(paper_config(2))
+        profiler = Profiler(model, device)
+        first = profiler.profile_iteration(inputs)
+        timed = device.batches
+        again = profiler.profile_seq_len(21, batch=16, tgt_len=19)
+        assert device.batches == timed
+        assert again is first
+        fresh = Profiler(model, GpuDevice(paper_config(2))).profile_iteration(inputs)
+        assert fresh is not first
+        assert fresh.time_s == first.time_s
+        assert fresh.counters == first.counters
+        assert fresh.profile == first.profile
